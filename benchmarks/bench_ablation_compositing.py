@@ -18,6 +18,7 @@ from repro.render.compositor import binary_swap, composite, direct_send
 from repro.render.rasterizer import Framebuffer, render_mesh
 from repro.render.tiled_display import TileLayout
 from repro.mc.geometry import TriangleMesh
+from repro.parallel.cluster import ExtractRequest
 from repro.parallel.perfmodel import PAPER_CLUSTER
 
 
@@ -25,7 +26,7 @@ def test_ablation_compositing(benchmark, cfg):
     p = 4
     cluster = get_cluster(cfg, p)
     lam = float(cfg.isovalues[len(cfg.isovalues) // 2])
-    res = cluster.extract(lam, keep_meshes=True)
+    res = cluster.extract(lam, ExtractRequest(keep_meshes=True))
     combined = TriangleMesh.concat([m for m in res.meshes if m.n_triangles])
     cam = Camera.fit_mesh(combined)
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from repro import sphere_field
 from repro.io.faults import FaultPlan, HedgePolicy
-from repro.parallel.cluster import SimulatedCluster
+from repro.parallel.cluster import ExtractRequest, SimulatedCluster
 
 ISO = 0.5
 SHAPE = (24, 24, 24)
@@ -49,16 +49,16 @@ def build(plan=None) -> SimulatedCluster:
 
 
 def main() -> None:
-    healthy = build().extract(ISO, render=True)
+    healthy = build().extract(ISO, ExtractRequest(render=True))
     budget = healthy.total_time * 3
     print(f"healthy run: {healthy.n_triangles} triangles in "
           f"{healthy.total_time * 1e3:.1f} ms modeled; "
           f"deadline budget {budget * 1e3:.1f} ms")
 
     print(f"\n=== 1. spiky node {VICTIM}, no hedging: deadline-partial ===")
-    partial = build(SPIKES).extract(
-        ISO, render=True, deadline=budget, hedge=None, speculate=False
-    )
+    partial = build(SPIKES).extract(ISO, ExtractRequest(
+        render=True, deadline=budget, hedge=None, speculate=False,
+    ))
     dl = partial.deadline
     assert not dl.met and partial.degraded
     print(f"  coverage {partial.coverage:.1%}, deadline "
@@ -66,9 +66,9 @@ def main() -> None:
     print(f"  skipped span-space bricks: {partial.skipped_bricks}")
 
     print(f"\n=== 2. same faults, hedged reads: deadline met ===")
-    hedged = build(SPIKES).extract(
-        ISO, render=True, deadline=budget, hedge=HedgePolicy(), speculate=False
-    )
+    hedged = build(SPIKES).extract(ISO, ExtractRequest(
+        render=True, deadline=budget, hedge=HedgePolicy(), speculate=False,
+    ))
     assert hedged.deadline.met and not hedged.degraded
     assert np.array_equal(hedged.image.color, healthy.image.color)
     assert np.array_equal(hedged.image.depth, healthy.image.depth)
@@ -79,9 +79,9 @@ def main() -> None:
 
     print(f"\n=== 3. same faults, speculation instead of hedging ===")
     spiky = FaultPlan(seed=7, latency_spike_rate=0.25, latency_spike_seconds=0.5)
-    spec = build(spiky).extract(
-        ISO, render=True, deadline=budget, hedge=None, speculate=True
-    )
+    spec = build(spiky).extract(ISO, ExtractRequest(
+        render=True, deadline=budget, hedge=None, speculate=True,
+    ))
     assert spec.deadline.met and not spec.degraded
     assert np.array_equal(spec.image.color, healthy.image.color)
     print(f"  straggler {spec.deadline.expired_nodes} re-executed on replica "

@@ -21,14 +21,14 @@ import numpy as np
 
 from repro import sphere_field
 from repro.core.builder import build_indexed_dataset
-from repro.core.query import execute_query
+from repro.core.query import QueryOptions, execute_query
 from repro.io.faults import (
     BrickCorruptionError,
     FaultInjectingDevice,
     FaultPlan,
     RetryPolicy,
 )
-from repro.parallel.cluster import SimulatedCluster
+from repro.parallel.cluster import ExtractRequest, SimulatedCluster
 
 ISO = 0.7
 SHAPE = (33, 33, 33)
@@ -75,7 +75,9 @@ def bit_rot(volume) -> None:
         FaultPlan(corrupt_extents=((ds2.record_offset(start) + 17, 4),)),
     )
     try:
-        execute_query(ds2, ISO, retry_policy=RetryPolicy(max_read_repairs=1))
+        execute_query(
+            ds2, ISO, QueryOptions(retry_policy=RetryPolicy(max_read_repairs=1))
+        )
     except BrickCorruptionError as exc:
         print(f"  persistent damage escalates: {exc}\n")
 
@@ -83,12 +85,12 @@ def bit_rot(volume) -> None:
 def replicated_recovery(volume) -> None:
     print("=== 3. node loss with replication (r=2): bit-identical ===")
     healthy = SimulatedCluster(volume, p=4, metacell_shape=(5, 5, 5))
-    want = healthy.extract(ISO, render=True)
+    want = healthy.extract(ISO, ExtractRequest(render=True))
     cluster = SimulatedCluster(
         volume, p=4, metacell_shape=(5, 5, 5), replication=2
     )
     cluster.fail_node(1)
-    got = cluster.extract(ISO, render=True)
+    got = cluster.extract(ISO, ExtractRequest(render=True))
     host = got.nodes[1].served_by
     print(f"  node 1 lost; node {host} served its bricks from the replica")
     print(f"  triangles {got.n_triangles} == healthy {want.n_triangles}: "
@@ -102,7 +104,7 @@ def graceful_degradation(volume) -> None:
     print("=== 4. node loss without replication: graceful partial ===")
     cluster = SimulatedCluster(volume, p=4, metacell_shape=(5, 5, 5))
     cluster.fail_node(2)
-    res = cluster.extract(ISO, render=True)
+    res = cluster.extract(ISO, ExtractRequest(render=True))
     survivors = [m.n_triangles for m in res.nodes]
     print(f"  degraded={res.degraded}, failed_nodes={res.failed_nodes}, "
           f"unrecovered={res.unrecovered_nodes}")

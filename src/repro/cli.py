@@ -27,9 +27,8 @@ from repro.core.persistence import build_persistent_dataset, load_dataset
 from repro.core.query import QueryOptions, execute_query
 from repro.grid.rm_instability import rm_timestep
 from repro.grid.volume import Volume
-from repro.mc.backends import available_backends
+from repro.mc.backends import available_backends, triangulate_records
 from repro.mc.geometry import TriangleMesh
-from repro.mc.marching_cubes import marching_cubes_batch
 
 
 def _parse_shape(text: str) -> tuple[int, int, int]:
@@ -52,16 +51,8 @@ def _load_volume(args) -> Volume:
 
 
 def _extract_mesh(dataset, iso: float) -> TriangleMesh:
-    res = execute_query(dataset, iso)
-    if res.n_active == 0:
-        return TriangleMesh()
-    return marching_cubes_batch(
-        dataset.codec.values_grid(res.records),
-        iso,
-        dataset.meta.vertex_origins(res.records.ids),
-        spacing=dataset.meta.spacing,
-        world_origin=dataset.meta.origin,
-    )
+    records = execute_query(dataset, iso).records
+    return triangulate_records(dataset, records, iso)[0]
 
 
 # ---------------------------------------------------------------------------

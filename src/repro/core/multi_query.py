@@ -37,7 +37,7 @@ from repro.core.query import QueryResult, execute_query
 from repro.io.blockdevice import IOStats
 from repro.io.layout import MetacellRecords
 from repro.mc.geometry import TriangleMesh
-from repro.mc.marching_cubes import marching_cubes_batch
+from repro.mc.backends import triangulate_records
 
 
 def _merge_ranges(ranges: "list[tuple[int, int]]") -> "list[tuple[int, int]]":
@@ -296,11 +296,6 @@ def extract_region_of_interest(
         raise ValueError(f"empty box: lo {box_lo} > hi {box_hi}")
     qr = execute_query(dataset, lam)
     meta = dataset.meta
-    if qr.n_active == 0:
-        return ROIResult(
-            lam=float(lam), box_lo=box_lo, box_hi=box_hi, mesh=TriangleMesh(),
-            n_active_total=0, n_active_in_box=0, query=qr,
-        )
     origins = meta.vertex_origins(qr.records.ids).astype(np.float64)
     spacing = np.asarray(meta.spacing, dtype=np.float64)
     world_origin = np.asarray(meta.origin, dtype=np.float64)
@@ -309,17 +304,13 @@ def extract_region_of_interest(
     mc_hi = mc_lo + extent
     inside = np.all(mc_hi >= box_lo, axis=1) & np.all(mc_lo <= box_hi, axis=1)
 
-    picked = np.flatnonzero(inside)
-    if len(picked):
-        mesh = marching_cubes_batch(
-            dataset.codec.values_grid(qr.records)[picked],
-            lam,
-            meta.vertex_origins(qr.records.ids[picked]),
-            spacing=meta.spacing,
-            world_origin=meta.origin,
-        )
-    else:
-        mesh = TriangleMesh()
+    r = qr.records
+    mesh, _ = triangulate_records(
+        dataset,
+        MetacellRecords(ids=r.ids[inside], vmins=r.vmins[inside],
+                        values=r.values[inside]),
+        lam,
+    )
     return ROIResult(
         lam=float(lam), box_lo=box_lo, box_hi=box_hi, mesh=mesh,
         n_active_total=qr.n_active, n_active_in_box=int(inside.sum()), query=qr,

@@ -27,7 +27,6 @@ the same ``IOStats``, so degraded runs report honest modeled times.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,10 +57,10 @@ MAX_SEQUENTIAL_CHUNK_BLOCKS = 1024
 class QueryOptions:
     """Everything configurable about one query's execution, in one place.
 
-    Replaces the kwarg sprawl of :func:`execute_query` /
-    :func:`execute_plan` (``read_ahead_blocks``, ``retry_policy``,
-    ``verify_checksums``, ``time_budget``, plus the new observability
-    hooks).  Frozen: derive variants with :func:`dataclasses.replace`.
+    The only way to configure :func:`execute_query` /
+    :func:`execute_plan` and the node stage built on them
+    (:func:`repro.parallel.node.extract_node`).  Frozen: derive
+    variants with :func:`dataclasses.replace`.
 
     Parameters
     ----------
@@ -106,18 +105,9 @@ class QueryOptions:
         A :class:`repro.parallel.pipeline.PipelineOptions` selecting the
         stage-overlapped shared-memory executor for the triangulation
         stage.  Not interpreted by the query executor itself — the
-        extraction layers (:class:`repro.pipeline.IsosurfacePipeline`,
-        cluster nodes, ``extract_parallel_mp``) read it and feed decoded
-        batches to MC workers through shared memory.  ``None`` (default)
-        triangulates inline.
-    cache:
-        A :class:`~repro.io.cache.CacheOptions` describing the cache
-        configuration this query runs under.  Like ``pipeline``, it is
-        not interpreted by the executor itself — the owning layer
-        (cluster constructor, serving front-end) attaches block caches
-        and builds the result cache, then threads the live handle
-        through ``result_cache``.  ``None`` (default) inherits whatever
-        the owning layer configured.
+        node stage (:func:`repro.parallel.node.extract_node`) reads it
+        and feeds decoded batches to MC workers through shared memory.
+        ``None`` (default) triangulates inline.
     result_cache:
         A live, epoch-fenced
         :class:`~repro.serve.rcache.ResultCacheView` (duck-typed; this
@@ -141,7 +131,6 @@ class QueryOptions:
     track: "str | None" = None
     coalesce_gap_blocks: int = 0
     pipeline: "object | None" = None
-    cache: "object | None" = None
     result_cache: "object | None" = None
     #: Extraction-kernel backend name, resolved through
     #: :mod:`repro.mc.backends` by the triangulating layer (pipeline,
@@ -181,82 +170,20 @@ class QueryOptions:
 #: Options used when a caller passes none.
 DEFAULT_QUERY_OPTIONS = QueryOptions()
 
-#: Kwargs the pre-:class:`QueryOptions` API accepted; still honoured
-#: through the deprecation shim below.
-_LEGACY_QUERY_KWARGS = frozenset(
-    {"read_ahead_blocks", "retry_policy", "verify_checksums", "time_budget"}
-)
 
-#: Kwargs added after the options-object migration; accepted standalone
-#: (no deprecation) as sugar for ``options=QueryOptions(...)``, but never
-#: mixed with legacy spellings or an explicit options object.
-_MODERN_QUERY_KWARGS = frozenset({"backend", "batch_chunk"})
-
-_legacy_warned: "set[str]" = set()
-
-
-def reset_legacy_warnings() -> None:
-    """Re-arm the warn-once gate of the legacy-kwarg shims (tests)."""
-    _legacy_warned.clear()
-
-
-def warn_legacy_kwargs(fn: str, kwargs: dict, replacement: str,
-                       stacklevel: int = 4) -> None:
-    """Emit the legacy-kwarg :class:`DeprecationWarning` once per
-    (function, kwarg set) per process, attributed to the caller.
-
-    Shared by every options-object shim in the repo (``execute_query``,
-    ``execute_plan``, ``SimulatedCluster.extract``) so tests re-arm them
-    all through one :func:`reset_legacy_warnings`.
-    """
-    key = f"{fn}:{','.join(sorted(kwargs))}"
-    if key in _legacy_warned:
-        return
-    _legacy_warned.add(key)
-    warnings.warn(
-        f"{fn}(..., {', '.join(sorted(kwargs))}) is deprecated; "
-        f"pass {replacement} instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def _coerce_options(
-    options: "QueryOptions | None", kwargs: dict, fn: str
-) -> QueryOptions:
-    """Resolve the ``options``-vs-legacy-kwargs call forms.
-
-    Legacy keyword calls keep working but emit a
-    :class:`DeprecationWarning` once per (function, kwarg set) per
-    process, attributed to the caller.
-    """
-    if options is not None and not isinstance(options, QueryOptions):
+def _checked(value, default, where: str):
+    """The options/request argument of an entry point: ``None`` means
+    ``default``; anything but ``default``'s class is a caller bug worth
+    a precise message (a dict or a bare policy object would otherwise
+    fail far from the call site)."""
+    if value is None:
+        return default
+    if not isinstance(value, type(default)):
         raise TypeError(
-            f"{fn}() third argument must be a QueryOptions (got "
-            f"{type(options).__name__}); legacy settings go through "
-            f"keywords or QueryOptions fields"
+            f"{where} must be a {type(default).__name__} (got "
+            f"{type(value).__name__})"
         )
-    if kwargs:
-        unknown = sorted(set(kwargs) - _LEGACY_QUERY_KWARGS - _MODERN_QUERY_KWARGS)
-        if unknown:
-            raise TypeError(f"{fn}() got unexpected keyword argument(s) {unknown}")
-        if options is not None:
-            raise TypeError(
-                f"{fn}() got both options= and keyword(s) "
-                f"{sorted(kwargs)}; pass everything in QueryOptions"
-            )
-        legacy = sorted(set(kwargs) & _LEGACY_QUERY_KWARGS)
-        modern = sorted(set(kwargs) & _MODERN_QUERY_KWARGS)
-        if legacy and modern:
-            raise TypeError(
-                f"{fn}() got keyword(s) {modern} together with legacy "
-                f"keyword(s) {legacy}; both spellings cannot be mixed — "
-                f"pass everything in QueryOptions"
-            )
-        if legacy:
-            warn_legacy_kwargs(fn, kwargs, "options=QueryOptions(...)", stacklevel=4)
-        return QueryOptions(**kwargs)
-    return options if options is not None else DEFAULT_QUERY_OPTIONS
+    return value
 
 
 @dataclass
@@ -450,16 +377,15 @@ def execute_query(
     dataset: IndexedDataset,
     lam: float,
     options: "QueryOptions | None" = None,
-    **legacy_kwargs,
 ) -> QueryResult:
     """Run the full out-of-core query for isovalue ``lam`` on one node.
 
-    Configuration goes through ``options``
-    (:class:`QueryOptions`); the pre-1.1 keyword arguments
-    (``read_ahead_blocks``, ``retry_policy``, ``verify_checksums``,
-    ``time_budget``) still work via a deprecation shim that warns once.
+    All configuration goes through ``options`` (:class:`QueryOptions`;
+    ``None`` means the defaults).
     """
-    opts = _coerce_options(options, legacy_kwargs, "execute_query")
+    opts = _checked(
+        options, DEFAULT_QUERY_OPTIONS, "execute_query() third argument"
+    )
     tracer = opts.tracer or NULL_TRACER
     with tracer.span(
         "query.plan", track=opts.track, category="plan",
@@ -477,7 +403,6 @@ def execute_plan(
     dataset: IndexedDataset,
     plan: QueryPlan,
     options: "QueryOptions | None" = None,
-    **legacy_kwargs,
 ) -> QueryResult:
     """Execute an already-computed I/O plan against the dataset's device.
 
@@ -485,9 +410,6 @@ def execute_plan(
     the external blocked index of
     :mod:`repro.core.external_tree` — can reuse the exact same record
     retrieval machinery and accounting.
-
-    ``options`` is a :class:`QueryOptions`; legacy keyword calls go
-    through the same deprecation shim as :func:`execute_query`.
 
     ``options.verify_checksums=None`` (default) verifies exactly when
     the dataset carries checksum tables; ``True`` demands them (raising
@@ -500,7 +422,9 @@ def execute_plan(
     ``deadline_expired=True`` — already-read records are kept, blocks
     already fetched stay charged, and no exception is raised.
     """
-    opts = _coerce_options(options, legacy_kwargs, "execute_plan")
+    opts = _checked(
+        options, DEFAULT_QUERY_OPTIONS, "execute_plan() third argument"
+    )
     policy = opts.retry_policy or DEFAULT_RETRY_POLICY
     tracer = opts.tracer or NULL_TRACER
     read_ahead_blocks = opts.read_ahead_blocks

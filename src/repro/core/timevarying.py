@@ -144,24 +144,12 @@ class TimeVaryingIndex:
         Returns a list of per-node :class:`~repro.mc.geometry.TriangleMesh`
         (concatenate with ``TriangleMesh.concat`` for the full surface).
         """
-        from repro.mc.geometry import TriangleMesh
-        from repro.mc.marching_cubes import marching_cubes_batch
+        from repro.mc.backends import triangulate_records
 
-        meshes = []
-        for ds, res in zip(self.datasets(t), self.query(t, lam)):
-            if res.n_active:
-                meshes.append(
-                    marching_cubes_batch(
-                        ds.codec.values_grid(res.records),
-                        lam,
-                        ds.meta.vertex_origins(res.records.ids),
-                        spacing=ds.meta.spacing,
-                        world_origin=ds.meta.origin,
-                    )
-                )
-            else:
-                meshes.append(TriangleMesh())
-        return meshes
+        return [
+            triangulate_records(ds, res.records, lam)[0]
+            for ds, res in zip(self.datasets(t), self.query(t, lam))
+        ]
 
     # -- persistence --------------------------------------------------------
 

@@ -42,12 +42,11 @@ from repro.io.faults import (
     BrickCorruptionError,
     FaultInjectingDevice,
     FaultPlan,
-    HedgedDevice,
     HedgePolicy,
     RetryPolicy,
     StorageFault,
 )
-from repro.obs.tracer import NULL_TRACER, coerce_tracer
+from repro.obs.tracer import coerce_tracer
 from repro.parallel.cluster import OwnershipMap, SimulatedCluster
 from repro.parallel.health import HealthPolicy
 from repro.parallel.perfmodel import PAPER_CLUSTER, PerformanceModel
@@ -281,28 +280,11 @@ class ElasticCluster(SimulatedCluster):
         slots = self.ownership.stripes_of(loc[0])
         return [min(slots)] if slots else []
 
-    def _replica_dataset(self, rank: int, host: int) -> IndexedDataset:
-        loc = self._replica[rank]
-        return replace(
-            self.datasets[rank],
-            device=self._member_device(loc[0]),
-            base_offset=loc[1],
-            replica_stores={},
-        )
-
-    def _hedged_dataset(self, rank, policy, tracer=NULL_TRACER, dataset=None):
+    def _replica_location(self, rank: int, host: "int | None" = None):
+        # One node-keyed copy per stripe, wherever ``host``'s slot lives;
+        # hedged reads (``host=None``) race the same copy.
         loc = self._live_replica(rank)
-        if loc is None:
-            return None
-        src = dataset if dataset is not None else self._view(rank)
-        return replace(
-            src,
-            device=HedgedDevice(
-                src.device, src.base_offset,
-                self._member_device(loc[0]), loc[1],
-                policy, tracer=tracer,
-            ),
-        )
+        return None if loc is None else (self._member_device(loc[0]), loc[1])
 
     # -- fault / membership control (node-id keyed) ----------------------
 

@@ -47,12 +47,9 @@ class CacheStats:
 class CacheOptions:
     """Every cache knob of a query or cluster, in one frozen value.
 
-    Replaces the ad-hoc ``cache_blocks=`` constructor argument and the
-    scattered per-call kwargs: embed one of these in
-    :class:`~repro.core.query.QueryOptions`,
-    :class:`~repro.parallel.cluster.ExtractRequest`, or pass it as
-    ``SimulatedCluster(..., cache=...)`` /
-    ``ServeConfig(cache=...)``.
+    Pass it as ``SimulatedCluster(..., cache=...)`` /
+    ``ServeConfig(cache=...)``; the owning layer attaches the block
+    caches and builds the result cache from it.
 
     Parameters
     ----------

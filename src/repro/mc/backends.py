@@ -33,8 +33,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mc.marching_cubes import _extract_batch_chunks, marching_cubes_batch
+import numpy as np
+
+from repro.mc.geometry import TriangleMesh
+from repro.mc.marching_cubes import (
+    DEFAULT_BATCH_CHUNK,
+    _extract_batch_chunks,
+    marching_cubes_batch,
+)
 from repro.mc.surface_nets import surface_nets_batch
+from repro.obs.tracer import NULL_TRACER
 
 #: The backend used when a request does not name one.
 DEFAULT_BACKEND = "mc-batch"
@@ -114,6 +122,58 @@ def validate_backend(name: str) -> str:
     """Validate a backend name for an options object; returns it."""
     get_backend(name)
     return name
+
+
+def triangulate_records(
+    dataset,
+    records,
+    lam: float,
+    *,
+    backend: str = DEFAULT_BACKEND,
+    batch_chunk: "int | None" = None,
+    pipeline=None,
+    with_normals: bool = False,
+    tracer=NULL_TRACER,
+    track: "str | None" = None,
+) -> "tuple[TriangleMesh, np.ndarray | None]":
+    """Decoded metacell records -> world-placed mesh (+ normals).
+
+    The one records-to-triangles site outside the kernels themselves
+    (façade, cluster nodes, worker processes, CLI, time-varying index,
+    ROI/multi-query all end here), so the kernel is always resolved
+    through :func:`get_backend` at call time and an empty record set
+    always yields an empty mesh.
+
+    ``dataset`` supplies the payload shape (``codec``) and world
+    placement (``meta``); ``pipeline`` (a
+    :class:`repro.parallel.pipeline.PipelineOptions`) routes the batch
+    through the bit-identical shared-memory executor.  Returns
+    ``(mesh, normals)``, ``normals`` None unless ``with_normals``.
+    """
+    if not len(records):
+        return TriangleMesh(), (np.empty((0, 3)) if with_normals else None)
+    meta = dataset.meta
+    values = dataset.codec.values_grid(records)
+    origins = meta.vertex_origins(records.ids)
+    if pipeline is not None:
+        # Lazy: repro.parallel imports the cluster, which imports us.
+        from repro.parallel.pipeline import pipelined_marching_cubes
+
+        out = pipelined_marching_cubes(
+            values, lam, origins,
+            spacing=meta.spacing, world_origin=meta.origin,
+            with_normals=with_normals, options=pipeline,
+            tracer=tracer, track=track,
+            backend=backend, batch_chunk=batch_chunk,
+        )
+    else:
+        out = get_backend(backend).batch(
+            values, lam, origins,
+            spacing=meta.spacing, world_origin=meta.origin,
+            chunk=DEFAULT_BATCH_CHUNK if batch_chunk is None else batch_chunk,
+            with_normals=with_normals,
+        )
+    return out if with_normals else (out, None)
 
 
 register_backend(

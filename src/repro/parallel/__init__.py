@@ -1,5 +1,8 @@
 """Cluster execution layer.
 
+``node``
+    :func:`~repro.parallel.node.extract_node` — the one rank-local pass
+    (query → triangulate → account) every node and the façade run.
 ``cluster``
     :class:`SimulatedCluster` — p nodes with striped local disks,
     communication-free extraction, sort-last compositing.

@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.builder import IndexedDataset, build_indexed_dataset, build_striped_datasets
 from repro.chaos.netfaults import COORDINATOR
 from repro.core.deadline import Deadline, DeadlineReport
-from repro.core.query import QueryOptions, execute_query, warn_legacy_kwargs
+from repro.core.query import QueryOptions, _checked
 from repro.grid.volume import Volume
 from repro.io.cache import CacheOptions
 from repro.io.faults import (
@@ -39,10 +39,10 @@ from repro.io.faults import (
     StorageFault,
 )
 from repro.mc.geometry import TriangleMesh
-from repro.mc.marching_cubes import marching_cubes_batch
-from repro.obs.tracer import NULL_TRACER, coerce_tracer
+from repro.obs.tracer import coerce_tracer
 from repro.parallel.health import HealthMonitor, HealthPolicy, Observation
 from repro.parallel.metrics import LoadBalance, NodeMetrics
+from repro.parallel.node import extract_node
 from repro.parallel.perfmodel import PAPER_CLUSTER, PerformanceModel
 from repro.parallel.scheduler import plan_speculation
 from repro.render.camera import Camera
@@ -139,10 +139,8 @@ class OwnershipMap:
 class ExtractRequest:
     """Everything configurable about one cluster extraction, in one place.
 
-    Replaces the kwarg sprawl of :meth:`SimulatedCluster.extract`
-    (``render``, ``camera``, ``keep_meshes``, ``tile_layout``,
-    ``smooth``, ``deadline``, ``hedge``, ``speculate``, plus the new
-    observability hooks).  Frozen: derive variants with
+    The only way to configure :meth:`SimulatedCluster.extract` /
+    :meth:`~SimulatedCluster.sweep`.  Frozen: derive variants with
     :func:`dataclasses.replace`.  See :meth:`SimulatedCluster.extract`
     for the semantics of each field.
     """
@@ -179,11 +177,6 @@ class ExtractRequest:
     #: under ``tenant.<name>.*``.  None: unattributed (single-caller
     #: usage, the pre-serving behaviour).
     tenant: "str | None" = None
-    #: A :class:`~repro.io.cache.CacheOptions` carried alongside the
-    #: request (λ-bucket width for result keys / coalescing; cache byte
-    #: budgets resolved by the owning cluster or server).  None: the
-    #: cluster's own configuration applies.
-    cache: "object | None" = None
     #: A :class:`~repro.serve.rcache.ResultCache` this extraction may
     #: probe and populate (overrides the cluster's own, if any); the
     #: epoch-fenced view is bound inside :meth:`SimulatedCluster.extract`
@@ -204,64 +197,74 @@ class ExtractRequest:
     batch_chunk: "int | None" = None
 
     def __post_init__(self) -> None:
-        if self.backend != "mc-batch":
-            from repro.mc.backends import validate_backend
-
-            validate_backend(self.backend)
-        if self.batch_chunk is not None and self.batch_chunk < 1:
-            raise ValueError(
-                f"batch_chunk must be >= 1, got {self.batch_chunk}"
-            )
+        # The kernel fields are QueryOptions' own: one validator.
+        QueryOptions(backend=self.backend, batch_chunk=self.batch_chunk)
 
 
 #: Request used when a caller passes none.
 DEFAULT_EXTRACT_REQUEST = ExtractRequest()
 
-#: Kwargs the pre-:class:`ExtractRequest` API accepted; still honoured
-#: through the deprecation shim below.
-_LEGACY_EXTRACT_KWARGS = frozenset({
-    "render", "camera", "keep_meshes", "tile_layout", "smooth",
-    "deadline", "hedge", "speculate",
-})
 
-#: Kwargs added after the request-object migration; accepted standalone
-#: (no deprecation), never mixed with legacy spellings or request=.
-_MODERN_EXTRACT_KWARGS = frozenset({"backend", "batch_chunk"})
+def _observation(m: NodeMetrics) -> Observation:
+    """What the health monitor learns from one node's primary outcome."""
+    return Observation(
+        failed=m.failed,
+        retries=m.io_stats.retries,
+        checksum_failures=m.io_stats.checksum_failures,
+        fault_delay=m.io_stats.fault_delay,
+        deadline_expired=m.deadline_expired,
+    )
 
 
-def _coerce_request(
-    request: "ExtractRequest | None", kwargs: dict, fn: str
-) -> ExtractRequest:
-    """Resolve the ``request``-vs-legacy-kwargs call forms (the same
-    warn-once deprecation contract as ``execute_query``'s options)."""
-    if request is not None and not isinstance(request, ExtractRequest):
-        raise TypeError(
-            f"{fn}() second argument must be an ExtractRequest (got "
-            f"{type(request).__name__})"
-        )
-    if kwargs:
-        unknown = sorted(
-            set(kwargs) - _LEGACY_EXTRACT_KWARGS - _MODERN_EXTRACT_KWARGS
-        )
-        if unknown:
-            raise TypeError(f"{fn}() got unexpected keyword argument(s) {unknown}")
-        if request is not None:
-            raise TypeError(
-                f"{fn}() got both request= and keyword(s) "
-                f"{sorted(kwargs)}; pass everything in ExtractRequest"
-            )
-        legacy = sorted(set(kwargs) & _LEGACY_EXTRACT_KWARGS)
-        modern = sorted(set(kwargs) & _MODERN_EXTRACT_KWARGS)
-        if legacy and modern:
-            raise TypeError(
-                f"{fn}() got keyword(s) {modern} together with legacy "
-                f"keyword(s) {legacy}; both spellings cannot be mixed — "
-                f"pass everything in ExtractRequest"
-            )
-        if legacy:
-            warn_legacy_kwargs(fn, kwargs, "request=ExtractRequest(...)")
-        return ExtractRequest(**kwargs)
-    return request if request is not None else DEFAULT_EXTRACT_REQUEST
+@dataclass
+class _QueryState:
+    """Everything one :meth:`SimulatedCluster.extract` call mutates.
+
+    One object shared by the phase helpers (primary pass, proactive
+    routing, recovery, speculation, composite); nothing here outlives
+    the call, which is what keeps ``extract`` re-entrant.  The per-slot
+    lists are indexed by stripe rank and sized at entry.
+    """
+
+    lam: float
+    req: ExtractRequest
+    tracer: object
+    deadline: "Deadline | None"
+    hedge_policy: "HedgePolicy | None"
+    #: The request's one QueryOptions (node stage budget, tracer, cache
+    #: view, kernel); per-host variants come from dataclasses.replace.
+    options: QueryOptions
+    want_normals: bool
+    #: Ownership epoch and routing view this query is fenced to.
+    epoch: int
+    views: "list[IndexedDataset]"
+    per_node: "list[NodeMetrics]"
+    meshes: "list[TriangleMesh]"
+    normals: list
+    #: Active metacells delivered per *layout* (whoever served it).
+    delivered: "list[int]"
+    failed_ranks: "list[int]" = field(default_factory=list)
+    routed_ranks: "list[int]" = field(default_factory=list)
+
+    def put(self, rank: int, metrics: NodeMetrics, mesh=None, normals=None) -> None:
+        """Fill stripe ``rank``'s slot.  No mesh means an empty one: the
+        node failed, its answer was lost in transit, or its circuit is
+        open and a replica host has yet to serve it."""
+        if mesh is None:
+            mesh = TriangleMesh()
+            normals = np.empty((0, 3)) if self.want_normals else None
+        self.per_node[rank] = metrics
+        self.meshes[rank] = mesh
+        self.normals[rank] = normals
+        self.delivered[rank] = metrics.n_active_metacells
+
+    def fail(self, rank: int, failure: str, circuit_open: bool = False) -> None:
+        """Mark stripe ``rank`` failed at its primary (recovery's input)."""
+        self.put(rank, NodeMetrics(
+            node_rank=rank, failed=True, failure=failure,
+            circuit_open=circuit_open,
+        ))
+        self.failed_ranks.append(rank)
 
 
 @dataclass
@@ -412,10 +415,6 @@ class SimulatedCluster:
         :class:`~repro.serve.rcache.ResultCache` that serves repeat
         record prefixes and whole stripe meshes from memory, fenced to
         the ownership epoch.
-    cache_blocks:
-        Deprecated alias for
-        ``cache=CacheOptions(block_cache_bytes=blocks * block_size)``;
-        warns once per process.
 
     Examples
     --------
@@ -438,24 +437,10 @@ class SimulatedCluster:
         fault_plans: "dict[int, FaultPlan] | None" = None,
         retry_policy: "RetryPolicy | None" = None,
         health_policy: "HealthPolicy | None" = None,
-        cache_blocks: "int | None" = None,
         cache: "CacheOptions | None" = None,
     ) -> None:
         if p < 1:
             raise ValueError(f"node count must be >= 1, got {p}")
-        if cache_blocks is not None:
-            warn_legacy_kwargs(
-                "SimulatedCluster", {"cache_blocks": cache_blocks},
-                "cache=CacheOptions(block_cache_bytes=...)",
-            )
-            if cache is not None:
-                raise TypeError(
-                    "SimulatedCluster() got both cache= and the deprecated "
-                    "cache_blocks=; pass everything in CacheOptions"
-                )
-            cache = CacheOptions(
-                block_cache_bytes=int(cache_blocks) * perf.disk.block_size
-            )
         self.volume = volume
         self.p = p
         self.perf = perf
@@ -674,6 +659,31 @@ class SimulatedCluster:
         ]
         return sorted(hosts, key=lambda q: (q - rank) % self.p)
 
+    def _replica_location(self, rank: int, host: "int | None" = None):
+        """``(device, byte offset)`` of a replica of stripe ``rank``'s
+        layout: the copy ``host`` holds, or — ``host=None`` — the copy
+        hedged reads race the primary against (the nearest replica
+        host's).  None when there is no such copy.
+
+        The one place replica addressing lives: :meth:`_replica_dataset`
+        and :meth:`_hedged_dataset` are both built on it, so a cluster
+        that keeps replicas elsewhere (the elastic one: a node-keyed
+        copy per stripe) overrides this and :meth:`_replica_hosts` only.
+        """
+        if host is None:
+            hosts = self._replica_hosts(rank)
+            if not hosts:
+                return None
+            host = hosts[0]
+            if self._net_blocked(self._rank_host(rank), self._rank_host(host)):
+                # An active partition cuts the replica link: hedging
+                # against an unreachable copy would model reads that
+                # cannot happen.  (The elastic override never had this
+                # gate; that difference is kept as found.)
+                return None
+        hosted = self.datasets[host]
+        return hosted.device, hosted.replica_stores[rank]
+
     def _replica_dataset(self, rank: int, host: int) -> IndexedDataset:
         """A view of node ``rank``'s layout served from ``host``'s disk.
 
@@ -682,96 +692,61 @@ class SimulatedCluster:
         the replica region of the host device — the query plan, record
         stream, and verification behave exactly as on the lost disk.
         """
-        src = self.datasets[rank]
-        hosted = self.datasets[host]
+        device, offset = self._replica_location(rank, host)
         return replace(
-            src,
-            device=hosted.device,
-            base_offset=hosted.replica_stores[rank],
-            replica_stores={},
+            self.datasets[rank],
+            device=device, base_offset=offset, replica_stores={},
         )
 
-    # ------------------------------------------------------------------
-
     def _hedged_dataset(
-        self, rank: int, policy: HedgePolicy, tracer=NULL_TRACER,
-        dataset: "IndexedDataset | None" = None,
+        self, rank: int, policy: HedgePolicy, tracer, dataset: IndexedDataset,
     ) -> "IndexedDataset | None":
-        """Node ``rank``'s dataset with its device wrapped for hedged
-        replica reads, or None when no replica exists to hedge against.
-
-        ``dataset`` is the routing view to wrap (defaults to the node's
-        own dataset; the elastic cluster passes its epoch-fenced view).
-        """
-        hosts = self._replica_hosts(rank)
-        if not hosts:
+        """``dataset`` (stripe ``rank``'s routing view) with its device
+        wrapped for hedged replica reads, or None when no replica exists
+        to hedge against."""
+        loc = self._replica_location(rank)
+        if loc is None:
             return None
-        host = hosts[0]
-        if self._net_blocked(self._rank_host(rank), self._rank_host(host)):
-            # An active partition cuts the replica link: hedging against
-            # an unreachable copy would model reads that cannot happen.
-            return None
-        src = dataset if dataset is not None else self.datasets[rank]
-        hosted = self.datasets[host]
         return replace(
-            src,
+            dataset,
             device=HedgedDevice(
-                src.device,
-                src.base_offset,
-                hosted.device,
-                hosted.replica_stores[rank],
-                policy,
+                dataset.device, dataset.base_offset, *loc, policy,
                 tracer=tracer,
             ),
         )
 
-    @staticmethod
-    def _charge_to_host(host_metrics: NodeMetrics, work: NodeMetrics) -> None:
-        """Account replica-served work (recovery, routing, speculation)
-        to the node that physically performed it."""
-        host_metrics.n_active_metacells += work.n_active_metacells
-        host_metrics.n_cells_examined += work.n_cells_examined
-        host_metrics.n_triangles += work.n_triangles
-        host_metrics.io_stats = host_metrics.io_stats + work.io_stats
-        host_metrics.io_time += work.io_time
-        host_metrics.triangulation_time += work.triangulation_time
-        host_metrics.measured_seconds += work.measured_seconds
+    # ------------------------------------------------------------------
 
     def _node_extract(
-        self,
-        dataset: IndexedDataset,
-        lam: float,
-        with_normals: bool = False,
-        time_budget: "float | None" = None,
-        tracer=NULL_TRACER,
-        track: "str | None" = None,
-        coalesce_gap_blocks: int = 0,
-        pipeline=None,
-        rcache=None,
-        backend: str = "mc-batch",
-        batch_chunk: "int | None" = None,
+        self, q: _QueryState, dataset: IndexedDataset, host: int,
+        options: "QueryOptions | None" = None,
     ) -> "tuple[NodeMetrics, TriangleMesh, np.ndarray | None]":
-        """Query + triangulate on one node; returns metrics, mesh, and
-        (optionally) payload-local gradient normals — everything a node
-        can compute without the global volume.
+        """Run the node stage for ``dataset`` on ``host``'s trace track.
 
-        ``rcache`` is an epoch-fenced
-        :class:`~repro.serve.rcache.ResultCacheView`.  A triangle-tier
-        hit short-circuits the whole node query — the stripe's complete
-        prior output replays with zero modeled I/O and triangulation
-        time; a miss threads the view into the query layer so record
-        prefixes are served from and re-deposited into the cache.
-        ``backend`` selects the extraction kernel (mesh-tier cache keys
-        carry it, so inexact kernels never replay exact output).
+        The stage itself is :func:`~repro.parallel.node.extract_node`;
+        cluster-specific is only the mesh tier of the epoch-fenced
+        result cache around it.  A hit short-circuits the whole node
+        query — the stripe's complete prior output replays with zero
+        modeled I/O and triangulation time; a miss runs the stage (the
+        view rides in the options, so record prefixes are served from
+        and re-deposited into the cache) and admits full-coverage,
+        verification-clean output.  Keys carry the backend, so inexact
+        kernels never replay exact output.  ``options`` replaces the
+        request's own for this run (speculation carries its own budget).
         """
-        t0 = time.perf_counter()
+        options = replace(options or q.options, track=f"node{host}")
         stripe = dataset.node_rank
+        lam = q.lam
+        rcache = options.result_cache
         if rcache is not None:
-            hit = rcache.mesh_get(stripe, lam, with_normals, backend=backend)
+            t0 = time.perf_counter()
+            hit = rcache.mesh_get(
+                stripe, lam, q.want_normals, backend=options.backend
+            )
             if hit is not None:
-                if tracer.enabled:
-                    tracer.instant(
-                        "rcache.mesh_hit", track=track or "cluster",
+                if q.tracer.enabled:
+                    q.tracer.instant(
+                        "rcache.mesh_hit", track=options.track,
                         category="cache",
                         args={"stripe": stripe, "lam": float(lam)},
                     )
@@ -781,88 +756,20 @@ class SimulatedCluster:
                 metrics.n_triangles = hit.n_triangles
                 metrics.measured_seconds = time.perf_counter() - t0
                 return metrics, hit.mesh, hit.normals
-        qr = execute_query(
-            dataset, lam,
-            QueryOptions(
-                retry_policy=self.retry_policy, time_budget=time_budget,
-                tracer=tracer, track=track,
-                coalesce_gap_blocks=coalesce_gap_blocks,
-                result_cache=rcache,
-            ),
+        metrics, mesh, normals, qr = extract_node(
+            dataset, lam, options, perf=self.perf, with_normals=q.want_normals
         )
-        codec = dataset.codec
-        meta = dataset.meta
-        cells_per_metacell = int(np.prod([m - 1 for m in codec.metacell_shape]))
-        normals = None
-        if qr.n_active:
-            values = codec.values_grid(qr.records)
-            origins = meta.vertex_origins(qr.records.ids)
-            if pipeline is not None:
-                from repro.parallel.pipeline import pipelined_marching_cubes
-
-                out = pipelined_marching_cubes(
-                    values, lam, origins,
-                    spacing=meta.spacing, world_origin=meta.origin,
-                    with_normals=with_normals, options=pipeline,
-                    tracer=tracer, track=track,
-                    backend=backend, batch_chunk=batch_chunk,
-                )
-            else:
-                from repro.mc.backends import get_backend
-                from repro.mc.marching_cubes import DEFAULT_BATCH_CHUNK
-
-                out = get_backend(backend).batch(
-                    values,
-                    lam,
-                    origins,
-                    spacing=meta.spacing,
-                    world_origin=meta.origin,
-                    chunk=(
-                        DEFAULT_BATCH_CHUNK if batch_chunk is None
-                        else batch_chunk
-                    ),
-                    with_normals=with_normals,
-                )
-            mesh, normals = out if with_normals else (out, None)
-        else:
-            mesh = TriangleMesh()
-            if with_normals:
-                normals = np.empty((0, 3))
-        measured = time.perf_counter() - t0
-
-        metrics = NodeMetrics(node_rank=dataset.node_rank)
-        metrics.n_active_metacells = qr.n_active
-        metrics.n_cells_examined = qr.n_active * cells_per_metacell
-        metrics.n_triangles = mesh.n_triangles
-        metrics.io_stats = qr.io_stats
-        metrics.io_time = self.perf.io_time(qr.io_stats)
-        metrics.triangulation_time = self.perf.cpu.triangulation_time(
-            metrics.n_cells_examined, metrics.n_triangles
-        )
-        metrics.measured_seconds = measured
-        if qr.deadline_expired:
-            metrics.deadline_expired = True
-            metrics.skipped_bricks = qr.skipped_bricks
-            expected = dataset.tree.query_count(lam)
-            if expected:
-                metrics.coverage = qr.n_active / expected
-            else:
-                # The tree predicted zero actives, but the budget still
-                # cut reads short: we cannot *know* the prediction held
-                # for the unread records, so don't report full coverage.
-                metrics.coverage = 0.0 if qr.n_records_skipped else 1.0
-        elif (
+        if (
             rcache is not None
+            and not qr.deadline_expired
             and not qr.n_records_skipped
             and dataset.checksums is not None
         ):
-            # Full-coverage, verification-clean output: admit it to the
-            # triangle tier so the same isovalue replays I/O-free.
             from repro.serve.rcache import CachedNodeResult
 
             rcache.mesh_put(
-                stripe, lam, with_normals,
-                backend=backend,
+                stripe, lam, q.want_normals,
+                backend=options.backend,
                 payload=CachedNodeResult(
                     mesh=mesh, normals=normals, n_active=qr.n_active,
                     n_cells_examined=metrics.n_cells_examined,
@@ -872,17 +779,58 @@ class SimulatedCluster:
             )
         return metrics, mesh, normals
 
+    def _serve_from_replica(
+        self, q: _QueryState, k: int, host: int, accept=None,
+        options: "QueryOptions | None" = None,
+    ) -> bool:
+        """Re-run stripe ``k``'s exact query against ``host``'s replica
+        copy and adopt the answer into ``k``'s slot — the one routine
+        behind proactive routing, failure recovery and straggler
+        speculation.
+
+        The adopted mesh keeps the victim's framebuffer *slot*, so
+        composite order — and hence the image — matches a healthy run
+        bit for bit; the work is accounted to the host that did it.
+        False when the host's disk faults too, or when ``accept(answer
+        metrics)`` vetoes the finished re-run (its return was lost; it
+        covered no more than the straggler).
+        """
+        try:
+            m2, mesh2, normals2 = self._node_extract(
+                q, self._replica_dataset(k, host), host, options
+            )
+        except StorageFault:
+            return False
+        if accept is not None and not accept(m2):
+            return False
+        # The work physically ran on the host: account it there.
+        hm, vm = q.per_node[host], q.per_node[k]
+        hm.n_active_metacells += m2.n_active_metacells
+        hm.n_cells_examined += m2.n_cells_examined
+        hm.n_triangles += m2.n_triangles
+        hm.io_stats = hm.io_stats + m2.io_stats
+        hm.io_time += m2.io_time
+        hm.triangulation_time += m2.triangulation_time
+        hm.measured_seconds += m2.measured_seconds
+        hm.recovered_ranks.append(k)
+        vm.served_by = host
+        vm.coverage = m2.coverage
+        vm.deadline_expired = m2.deadline_expired
+        vm.skipped_bricks = m2.skipped_bricks
+        q.delivered[k] = m2.n_active_metacells
+        q.meshes[k] = mesh2
+        q.normals[k] = normals2
+        return True
+
     def extract(
         self,
         lam: float,
         request: "ExtractRequest | None" = None,
-        **legacy_kwargs,
     ) -> ClusterResult:
         """Extract (and optionally render + composite) isosurface ``lam``.
 
-        Configuration goes through ``request``
-        (:class:`ExtractRequest`); the pre-1.1 keyword arguments still
-        work via a deprecation shim that warns once.
+        All configuration goes through ``request``
+        (:class:`ExtractRequest`; ``None`` means the defaults).
 
         With ``render=True``, each node rasterizes its local mesh into
         its own framebuffer and the buffers are composited sort-last;
@@ -928,11 +876,12 @@ class SimulatedCluster:
         without touching the primary disk at all.
 
         Re-entrancy: ``extract`` holds no state of its own between calls
-        — everything per-query lives in locals, and the only mutated
-        members (the health monitor, device meters, cache contents) are
-        updated once per call in a fixed order — so a serving layer may
-        interleave extractions for many tenants back to back on one
-        cluster and same-seed call sequences stay bit-deterministic.
+        — everything per-query lives in one :class:`_QueryState`, and
+        the only mutated members (the health monitor, device meters,
+        cache contents) are updated once per call in a fixed order — so
+        a serving layer may interleave extractions for many tenants back
+        to back on one cluster and same-seed call sequences stay
+        bit-deterministic.
 
         Observability: with ``request.tracer`` set, the run is traced on
         the modeled clock — live read spans per node track, post-hoc
@@ -942,35 +891,68 @@ class SimulatedCluster:
         ``cluster`` track.  With ``request.metrics`` set, every counter
         lands in the unified registry namespace.
         """
-        req = _coerce_request(request, legacy_kwargs, "SimulatedCluster.extract")
-        render = req.render
-        camera = req.camera
-        keep_meshes = req.keep_meshes
-        tile_layout = req.tile_layout
-        smooth = req.smooth
-        tracer = coerce_tracer(req.tracer)
+        q = self._begin_query(lam, _checked(
+            request, DEFAULT_EXTRACT_REQUEST,
+            "SimulatedCluster.extract() second argument",
+        ))
+        self._primary_pass(q)
+        # Health observations are taken from the *primary* outcome, before
+        # any speculative rescue rewrites the flags.
+        observations = {
+            k: _observation(q.per_node[k])
+            for k in range(self.p)
+            if k not in q.routed_ranks
+        }
+        self._routed_pass(q, observations)
+        unrecovered = self._recovery_pass(q)
+        expired_primary, speculated = self._speculation_pass(q)
+        for k, obs in observations.items():
+            self.health.observe(k, obs)
 
+        result = self._account(q, unrecovered)
+        #: Framebuffer slots that actually exist somewhere and get shipped.
+        live = [i for i in range(self.p) if i not in unrecovered]
+        if q.req.render:
+            n_msgs = self._render_and_composite(q, result, live)
+        else:
+            # Analytic accounting: every live buffer ships once.
+            n_msgs = len(live)
+            w, h = self.image_size
+            result.composite_bytes = n_msgs * w * h * 16
+        result.composite_time = self.perf.network.transfer_time(
+            result.composite_bytes, n_messages=n_msgs
+        )
+        if q.req.keep_meshes or q.req.render:
+            result.meshes = q.meshes
+        dl = q.deadline
+        if dl is not None:
+            result.deadline = DeadlineReport(
+                budget=dl.budget,
+                node_budget=dl.node_budget,
+                modeled_total=result.total_time,
+                coverage=result.coverage,
+                met=result.coverage >= 1.0 - 1e-12
+                and result.total_time <= dl.budget + 1e-12,
+                expired_nodes=expired_primary,
+                speculated_nodes=speculated,
+            )
+        if q.tracer.enabled:
+            self._emit_summary_spans(q.tracer, result, n_msgs)
+        if q.req.metrics is not None:
+            self._publish_cluster_metrics(q.req.metrics, result)
+        return result
+
+    def _begin_query(self, lam: float, req: ExtractRequest) -> _QueryState:
+        """Open one extraction: fence the routing view and the result
+        cache to the current ownership epoch and build the request's one
+        :class:`QueryOptions`."""
+        tracer = coerce_tracer(req.tracer)
         dl = Deadline.coerce(req.deadline)
         hedge_policy = (
             self._default_hedge_policy() if req.hedge is True
             else (req.hedge or None)
         )
-        do_speculate = (
-            req.speculate
-            if req.speculate is not None
-            else (dl is not None and hedge_policy is not None)
-        )
-        node_budget = dl.node_budget if dl is not None else None
-
         self.health.begin_query()
-        per_node: list[NodeMetrics] = []
-        meshes: list[TriangleMesh] = []
-        node_normals: list = []
-        want_normals = render and smooth
-        failed_ranks: list[int] = []
-        routed_ranks: list[int] = []
-        #: Active metacells delivered per *layout* (whoever served it).
-        delivered = [0] * self.p
         # Epoch fence: the routing view (who serves each stripe, from
         # which device region) is captured once, here — membership or
         # ownership changes landing after this point apply to the *next*
@@ -991,269 +973,195 @@ class SimulatedCluster:
                 self._result_fingerprint(), epoch,
                 populate=req.cache_populate,
             )
-        expected = [ds.tree.query_count(lam) for ds in views]
+        return _QueryState(
+            lam=lam, req=req, tracer=tracer, deadline=dl,
+            hedge_policy=hedge_policy,
+            options=QueryOptions(
+                retry_policy=self.retry_policy,
+                time_budget=dl.node_budget if dl is not None else None,
+                tracer=tracer,
+                coalesce_gap_blocks=req.coalesce_gap_blocks,
+                pipeline=req.pipeline, result_cache=rview,
+                backend=req.backend, batch_chunk=req.batch_chunk,
+            ),
+            want_normals=req.render and req.smooth,
+            epoch=epoch, views=views,
+            per_node=[None] * self.p, meshes=[None] * self.p,
+            normals=[None] * self.p, delivered=[0] * self.p,
+        )
 
-        for rank, dataset in enumerate(views):
+    def _primary_pass(self, q: _QueryState) -> None:
+        """Every stripe's own node runs the node stage (hedged when the
+        request asks); circuit-open stripes are left for
+        :meth:`_routed_pass`, faulted ones for :meth:`_recovery_pass`."""
+        for rank, dataset in enumerate(q.views):
             if self.health.routed_around(rank) and self._replica_hosts(rank):
                 # Circuit open: don't touch the primary disk; the layout
                 # is served from a replica host after this pass.
-                routed_ranks.append(rank)
-                per_node.append(NodeMetrics(node_rank=rank, circuit_open=True))
-                meshes.append(TriangleMesh())
-                node_normals.append(np.empty((0, 3)) if want_normals else None)
+                q.routed_ranks.append(rank)
+                q.put(rank, NodeMetrics(node_rank=rank, circuit_open=True))
                 continue
-            qds = dataset
-            if hedge_policy is not None:
-                qds = (
-                    self._hedged_dataset(rank, hedge_policy, tracer, dataset)
-                    or dataset
-                )
+            if q.hedge_policy is not None:
+                dataset = self._hedged_dataset(
+                    rank, q.hedge_policy, q.tracer, dataset
+                ) or dataset
             try:
-                m, mesh, normals = self._node_extract(
-                    qds, lam, with_normals=want_normals,
-                    time_budget=node_budget,
-                    tracer=tracer, track=f"node{rank}",
-                    coalesce_gap_blocks=req.coalesce_gap_blocks,
-                    pipeline=req.pipeline, rcache=rview,
-                    backend=req.backend, batch_chunk=req.batch_chunk,
-                )
-                delivered[rank] = m.n_active_metacells
-                if self.net is not None:
-                    # The node's extracted result must cross the wire
-                    # back to the coordinator.  A return lost past the
-                    # retry budget is indistinguishable from a dead
-                    # node at the coordinator, so it takes the same
-                    # recovery path (replica re-run below).
-                    d = self.net.send(
-                        self._rank_host(rank), COORDINATOR,
-                        tracer=tracer, track="cluster", what="result",
-                    )
-                    if not d.delivered:
-                        m = NodeMetrics(
-                            node_rank=rank, failed=True,
-                            failure="network: result return lost",
-                        )
-                        mesh = TriangleMesh()
-                        normals = np.empty((0, 3)) if want_normals else None
-                        failed_ranks.append(rank)
-                        delivered[rank] = 0
-                    else:
-                        m.net_delay += d.delay
+                m, mesh, normals = self._node_extract(q, dataset, rank)
             except StorageFault as exc:
-                m = NodeMetrics(node_rank=rank, failed=True, failure=str(exc))
-                mesh = TriangleMesh()
-                normals = np.empty((0, 3)) if want_normals else None
-                failed_ranks.append(rank)
-                tracer.instant(
+                q.fail(rank, str(exc))
+                q.tracer.instant(
                     "node.failed", track="cluster", category="fault",
                     args={"rank": rank, "error": str(exc)},
                 )
-            per_node.append(m)
-            meshes.append(mesh)
-            node_normals.append(normals)
-
-        # Health observations are taken from the *primary* outcome, before
-        # any speculative rescue rewrites the flags.
-        observations = {
-            k: Observation(
-                failed=per_node[k].failed,
-                retries=per_node[k].io_stats.retries,
-                checksum_failures=per_node[k].io_stats.checksum_failures,
-                fault_delay=per_node[k].io_stats.fault_delay,
-                deadline_expired=per_node[k].deadline_expired,
-            )
-            for k in range(self.p)
-            if k not in routed_ranks
-        }
-
-        # Serve circuit-open nodes from their replica hosts (proactive
-        # routing: the primary disk is never asked).
-        for k in routed_ranks:
-            served = False
-            for host in self._replica_hosts(k):
-                if per_node[host].failed:
-                    continue
-                try:
-                    m2, mesh2, normals2 = self._node_extract(
-                        self._replica_dataset(k, host), lam,
-                        with_normals=want_normals, time_budget=node_budget,
-                        tracer=tracer, track=f"node{host}",
-                        coalesce_gap_blocks=req.coalesce_gap_blocks,
-                        pipeline=req.pipeline, rcache=rview,
-                        backend=req.backend, batch_chunk=req.batch_chunk,
-                    )
-                except StorageFault:
-                    continue
-                tracer.instant(
-                    "node.routed", track="cluster", category="health",
-                    args={"rank": k, "host": host,
-                          "reason": "circuit open (proactive routing)"},
+                continue
+            if self.net is not None:
+                # The node's extracted result must cross the wire back
+                # to the coordinator.  A return lost past the retry
+                # budget is indistinguishable from a dead node at the
+                # coordinator, so it takes the same recovery path
+                # (replica re-run in the recovery pass).
+                d = self.net.send(
+                    self._rank_host(rank), COORDINATOR,
+                    tracer=q.tracer, track="cluster", what="result",
                 )
-                self._charge_to_host(per_node[host], m2)
-                per_node[host].recovered_ranks.append(k)
-                vm = per_node[k]
-                vm.served_by = host
-                vm.coverage = m2.coverage
-                vm.deadline_expired = m2.deadline_expired
-                vm.skipped_bricks = m2.skipped_bricks
-                delivered[k] = m2.n_active_metacells
-                meshes[k] = mesh2
-                node_normals[k] = normals2
-                served = True
-                break
-            if served:
-                self.health.tick_routed(k)
+                if not d.delivered:
+                    q.fail(rank, "network: result return lost")
+                    continue
+                m.net_delay += d.delay
+            q.put(rank, m, mesh, normals)
+
+    def _routed_pass(self, q: _QueryState, observations: dict) -> None:
+        """Serve circuit-open stripes from their replica hosts
+        (proactive routing: the primary disk is never asked)."""
+        for k in q.routed_ranks:
+            for host in self._replica_hosts(k):
+                if q.per_node[host].failed:
+                    continue
+                if self._serve_from_replica(q, k, host):
+                    q.tracer.instant(
+                        "node.routed", track="cluster", category="health",
+                        args={"rank": k, "host": host,
+                              "reason": "circuit open (proactive routing)"},
+                    )
+                    self.health.tick_routed(k)
+                    break
             else:
                 # Every replica host is down: forced probe of the primary.
                 try:
-                    m, mesh, normals = self._node_extract(
-                        views[k], lam, with_normals=want_normals,
-                        time_budget=node_budget,
-                        tracer=tracer, track=f"node{k}",
-                        coalesce_gap_blocks=req.coalesce_gap_blocks,
-                        pipeline=req.pipeline, rcache=rview,
-                        backend=req.backend, batch_chunk=req.batch_chunk,
-                    )
+                    m, mesh, normals = self._node_extract(q, q.views[k], k)
                     m.circuit_open = True
-                    per_node[k] = m
-                    meshes[k] = mesh
-                    node_normals[k] = normals
-                    delivered[k] = m.n_active_metacells
+                    q.put(k, m, mesh, normals)
                 except StorageFault as exc:
-                    per_node[k] = NodeMetrics(
-                        node_rank=k, failed=True, failure=str(exc),
-                        circuit_open=True,
-                    )
-                    failed_ranks.append(k)
-                observations[k] = Observation(
-                    failed=per_node[k].failed,
-                    retries=per_node[k].io_stats.retries,
-                    checksum_failures=per_node[k].io_stats.checksum_failures,
-                    fault_delay=per_node[k].io_stats.fault_delay,
-                    deadline_expired=per_node[k].deadline_expired,
-                )
+                    q.fail(k, str(exc), circuit_open=True)
+                observations[k] = _observation(q.per_node[k])
 
-        # Recovery pass: serve lost bricks from surviving replicas.  The
-        # recovered mesh keeps the failed node's framebuffer *slot* so
-        # composite order — and hence the image — matches a healthy run
-        # bit for bit; the work is accounted to the node that did it.
-        for k in failed_ranks:
+    def _recovery_pass(self, q: _QueryState) -> "list[int]":
+        """Serve lost stripes from surviving replicas; returns the ranks
+        no replica could serve (their coverage drops to zero)."""
+
+        def returned(host: int) -> bool:
+            # The re-run completed on the host, but its answer still has
+            # to reach the coordinator; a lost return means trying the
+            # next replica host.
+            if self.net is None:
+                return True
+            d = self.net.send(
+                self._rank_host(host), COORDINATOR,
+                tracer=q.tracer, track="cluster", what="recovered-result",
+            )
+            if d.delivered:
+                q.per_node[host].net_delay += d.delay
+            return d.delivered
+
+        for k in q.failed_ranks:
             for host in self._replica_hosts(k):
-                if per_node[host].failed:
+                if q.per_node[host].failed:
                     continue
                 if self._net_blocked(self._rank_host(host), COORDINATOR):
                     # The replica host sits on the far side of an
                     # active partition: its re-run could never reach
                     # the coordinator, so don't burn its disk on it.
                     continue
-                try:
-                    m2, mesh2, normals2 = self._node_extract(
-                        self._replica_dataset(k, host), lam,
-                        with_normals=want_normals, time_budget=node_budget,
-                        tracer=tracer, track=f"node{host}",
-                        coalesce_gap_blocks=req.coalesce_gap_blocks,
-                        pipeline=req.pipeline, rcache=rview,
-                        backend=req.backend, batch_chunk=req.batch_chunk,
+                if self._serve_from_replica(
+                    q, k, host, accept=lambda _m: returned(host)
+                ):
+                    q.tracer.instant(
+                        "node.recovered", track="cluster", category="fault",
+                        args={"rank": k, "host": host},
                     )
-                except StorageFault:
-                    continue
-                if self.net is not None:
-                    d = self.net.send(
-                        self._rank_host(host), COORDINATOR,
-                        tracer=tracer, track="cluster",
-                        what="recovered-result",
-                    )
-                    if not d.delivered:
-                        # The re-run completed on the host but its
-                        # return was lost; try the next replica host.
-                        continue
-                    per_node[host].net_delay += d.delay
-                tracer.instant(
-                    "node.recovered", track="cluster", category="fault",
-                    args={"rank": k, "host": host},
-                )
-                self._charge_to_host(per_node[host], m2)
-                per_node[host].recovered_ranks.append(k)
-                per_node[k].served_by = host
-                per_node[k].coverage = m2.coverage
-                per_node[k].deadline_expired = m2.deadline_expired
-                per_node[k].skipped_bricks = m2.skipped_bricks
-                delivered[k] = m2.n_active_metacells
-                meshes[k] = mesh2
-                node_normals[k] = normals2
-                break
-        unrecovered = [k for k in failed_ranks if per_node[k].served_by is None]
+                    break
+        unrecovered = [
+            k for k in q.failed_ranks if q.per_node[k].served_by is None
+        ]
         for k in unrecovered:
-            per_node[k].coverage = 0.0
+            q.per_node[k].coverage = 0.0
+        return unrecovered
 
-        # Straggler mitigation: nodes that blew their stage budget get
-        # their query speculatively re-executed on a replica host, the
-        # speculative task starting at the budget mark.  The victim's
-        # partial output is replaced (bit-identical records when both
-        # complete); its wasted metered I/O stays on its own record.
+    def _speculation_pass(self, q: _QueryState) -> "tuple[list[int], list[int]]":
+        """Straggler mitigation: nodes that blew their stage budget get
+        their query speculatively re-executed on a replica host, the
+        speculative task starting at the budget mark.  The victim's
+        partial output is replaced (bit-identical records when both
+        complete); its wasted metered I/O stays on its own record.
+        Returns ``(expired primaries, speculated victims)``."""
+        dl, per_node = q.deadline, q.per_node
         expired_primary = [
             k for k in range(self.p)
             if per_node[k].deadline_expired and not per_node[k].failed
         ]
+        do_speculate = (
+            q.req.speculate
+            if q.req.speculate is not None
+            else (dl is not None and q.hedge_policy is not None)
+        )
         speculated: "list[int]" = []
-        if dl is not None and do_speculate and expired_primary:
-            hosts_map = {
-                k: [h for h in self._replica_hosts(k) if not per_node[h].failed]
-                for k in expired_primary
-            }
-            for d in plan_speculation(expired_primary, hosts_map, dl.node_budget,
-                                      tracer=tracer, track="cluster"):
-                try:
-                    m2, mesh2, normals2 = self._node_extract(
-                        self._replica_dataset(d.victim, d.host), lam,
-                        with_normals=want_normals,
-                        time_budget=dl.speculation_budget,
-                        tracer=tracer, track=f"node{d.host}",
-                        coalesce_gap_blocks=req.coalesce_gap_blocks,
-                        pipeline=req.pipeline, rcache=rview,
-                        backend=req.backend, batch_chunk=req.batch_chunk,
-                    )
-                except StorageFault:
-                    continue
-                vm = per_node[d.victim]
-                if m2.deadline_expired and m2.coverage <= vm.coverage:
-                    continue  # the re-run covered no more than the straggler
-                hm = per_node[d.host]
-                # The speculative task launches *at* the stage-budget
-                # mark: if the host finished its own work earlier, the
-                # gap is modeled idle time on the host's clock.
-                before = hm.io_time + hm.triangulation_time + hm.speculation_wait
-                self._charge_to_host(hm, m2)
-                hm.speculation_wait += max(0.0, d.launch_time - before)
-                hm.recovered_ranks.append(d.victim)
-                vm.n_active_metacells = 0
-                vm.n_cells_examined = 0
-                vm.n_triangles = 0
-                # The straggler is cancelled at the budget mark — its
-                # clock stops there even though its metered I/O (the
-                # wasted attempt) stays on record.
-                vm.io_time = min(vm.io_time, dl.node_budget)
-                vm.triangulation_time = 0.0
-                vm.speculated_to = d.host
-                vm.served_by = d.host
-                vm.coverage = m2.coverage
-                vm.deadline_expired = m2.deadline_expired
-                vm.skipped_bricks = m2.skipped_bricks
-                delivered[d.victim] = m2.n_active_metacells
-                meshes[d.victim] = mesh2
-                node_normals[d.victim] = normals2
-                speculated.append(d.victim)
+        if dl is None or not do_speculate or not expired_primary:
+            return expired_primary, speculated
+        hosts_map = {
+            k: [h for h in self._replica_hosts(k) if not per_node[h].failed]
+            for k in expired_primary
+        }
+        options = replace(q.options, time_budget=dl.speculation_budget)
+        for d in plan_speculation(expired_primary, hosts_map, dl.node_budget,
+                                  tracer=q.tracer, track="cluster"):
+            vm, hm = per_node[d.victim], per_node[d.host]
+            # The speculative task launches *at* the stage-budget mark:
+            # if the host finished its own work earlier, the gap is
+            # modeled idle time on the host's clock.
+            before = hm.io_time + hm.triangulation_time + hm.speculation_wait
+            if not self._serve_from_replica(
+                q, d.victim, d.host,
+                # Keep the straggler's output unless the re-run covered more.
+                accept=lambda m2: not (
+                    m2.deadline_expired and m2.coverage <= vm.coverage
+                ),
+                options=options,
+            ):
+                continue
+            hm.speculation_wait += max(0.0, d.launch_time - before)
+            vm.n_active_metacells = 0
+            vm.n_cells_examined = 0
+            vm.n_triangles = 0
+            # The straggler is cancelled at the budget mark — its
+            # clock stops there even though its metered I/O (the
+            # wasted attempt) stays on record.
+            vm.io_time = min(vm.io_time, dl.node_budget)
+            vm.triangulation_time = 0.0
+            vm.speculated_to = d.host
+            speculated.append(d.victim)
+        return expired_primary, speculated
 
-        for k, obs in observations.items():
-            self.health.observe(k, obs)
-
-        total_expected = sum(expected)
+    def _account(self, q: _QueryState, unrecovered: "list[int]") -> ClusterResult:
+        """Fold the per-node outcomes into a :class:`ClusterResult`:
+        cluster coverage, per-node modeled render time, degraded flag."""
+        per_node = q.per_node
+        total_expected = sum(ds.tree.query_count(q.lam) for ds in q.views)
         if total_expected:
-            coverage = sum(delivered) / total_expected
+            coverage = sum(q.delivered) / total_expected
         else:
             # Zero predicted actives: full coverage only if no node's
             # own coverage was degraded (deadline cut / unrecovered
-            # failure) — mirrors the per-node fallback fix.
+            # failure) — mirrors the per-node fallback in extract_node.
             coverage = min((m.coverage for m in per_node), default=1.0)
 
         w, h = self.image_size
@@ -1267,108 +1175,80 @@ class SimulatedCluster:
                 m.render_time = self.perf.gpu.render_time(
                     m.n_triangles, fb_bytes * (1 + len(m.recovered_ranks))
                 )
-
-        result = ClusterResult(
-            lam=float(lam),
+        return ClusterResult(
+            lam=float(q.lam),
             p=self.p,
             nodes=per_node,
             degraded=bool(unrecovered) or coverage < 1.0 - 1e-12,
-            failed_nodes=sorted(failed_ranks),
+            failed_nodes=sorted(q.failed_ranks),
             coverage=coverage,
-            tenant=req.tenant,
-            epoch=epoch,
+            tenant=q.req.tenant,
+            epoch=q.epoch,
             node_groups=self._result_node_groups(),
-            backend=req.backend,
+            backend=q.req.backend,
         )
-        #: Framebuffer slots that actually exist somewhere and get shipped.
-        live = [i for i in range(self.p) if i not in unrecovered]
 
-        image = None
-        if render:
-            cam = camera
-            if cam is None:
-                combined = TriangleMesh.concat([m for m in meshes if m.n_triangles])
-                if combined.n_triangles == 0 and not result.degraded:
-                    raise ValueError(
-                        f"no geometry at isovalue {lam}; cannot auto-frame a camera"
-                    )
-                cam = (
-                    Camera.fit_mesh(combined) if combined.n_triangles else None
+    def _render_and_composite(
+        self, q: _QueryState, result: ClusterResult, live: "list[int]"
+    ) -> int:
+        """Each live slot rasterizes its mesh into its own framebuffer
+        (auto-framed unless the request carries a camera); the buffers
+        merge sort-last by plain z-composite or, with a tile layout,
+        direct-send.  Fills ``result.image`` / ``composite_bytes`` and
+        returns the message count."""
+        req, dl, meshes = q.req, q.deadline, q.meshes
+        tile_layout = req.tile_layout
+        cam = req.camera
+        if cam is None:
+            combined = TriangleMesh.concat([m for m in meshes if m.n_triangles])
+            if combined.n_triangles == 0 and not result.degraded:
+                raise ValueError(
+                    f"no geometry at isovalue {q.lam}; cannot auto-frame a camera"
                 )
-            if tile_layout is not None:
-                w, h = tile_layout.width, tile_layout.height
-            fbs = []
-            for i in live:
-                fb = Framebuffer(w, h)
-                if cam is not None:
-                    if smooth and node_normals[i] is not None:
-                        render_mesh_smooth(fb, meshes[i], cam, node_normals[i])
-                    else:
-                        render_mesh(fb, meshes[i], cam)
-                fbs.append(fb)
-            if not fbs:
-                # Every node failed with no replicas: an empty frame.
-                image = Framebuffer(w, h)
-                result.composite_bytes = 0
-                n_msgs = 0
-            elif tile_layout is not None:
-                comp_budget = None
-                if dl is not None:
-                    node_makespan = max(
-                        (n.total_time for n in per_node), default=0.0
-                    )
-                    comp_budget = max(dl.budget - node_makespan, 0.0)
-                image, stats = direct_send(
-                    fbs,
-                    tile_layout,
-                    interconnect=self.perf.network if dl is not None else None,
-                    budget=comp_budget,
-                    tracer=tracer,
-                    track="cluster",
-                    network=self.net,
-                )
-                result.composite_bytes = stats.total_bytes
-                n_msgs = (
-                    stats.n_nodes - len(stats.dropped_nodes)
-                ) * tile_layout.n_tiles
-                if stats.lost_nodes:
-                    # A contribution the network lost past the retry
-                    # budget is missing from the frame: never silent.
-                    # (direct_send indexes the live framebuffer list,
-                    # so map back to cluster ranks.)
-                    result.net_lost_ranks = [live[q] for q in stats.lost_nodes]
-                    result.degraded = True
-            else:
-                image = composite(fbs)
-                result.composite_bytes = sum(fb.payload_bytes for fb in fbs)
-                n_msgs = len(fbs)
-        else:
-            # Analytic accounting: every live buffer ships once.
-            result.composite_bytes = len(live) * fb_bytes
-            n_msgs = len(live)
-
-        result.composite_time = self.perf.network.transfer_time(
-            result.composite_bytes, n_messages=n_msgs
-        )
-        result.image = image
-        if keep_meshes or render:
-            result.meshes = meshes
+            cam = Camera.fit_mesh(combined) if combined.n_triangles else None
+        w, h = self.image_size
+        if tile_layout is not None:
+            w, h = tile_layout.width, tile_layout.height
+        fbs = []
+        for i in live:
+            fb = Framebuffer(w, h)
+            if cam is not None:
+                if req.smooth and q.normals[i] is not None:
+                    render_mesh_smooth(fb, meshes[i], cam, q.normals[i])
+                else:
+                    render_mesh(fb, meshes[i], cam)
+            fbs.append(fb)
+        if not fbs:
+            # Every node failed with no replicas: an empty frame.
+            result.image = Framebuffer(w, h)
+            result.composite_bytes = 0
+            return 0
+        if tile_layout is None:
+            result.image = composite(fbs)
+            result.composite_bytes = sum(fb.payload_bytes for fb in fbs)
+            return len(fbs)
+        comp_budget = None
         if dl is not None:
-            result.deadline = DeadlineReport(
-                budget=dl.budget,
-                node_budget=dl.node_budget,
-                modeled_total=result.total_time,
-                coverage=coverage,
-                met=coverage >= 1.0 - 1e-12
-                and result.total_time <= dl.budget + 1e-12,
-                expired_nodes=expired_primary,
-                speculated_nodes=speculated,
-            )
-        if tracer.enabled:
-            self._emit_summary_spans(tracer, result, n_msgs)
-        if req.metrics is not None:
-            self._publish_cluster_metrics(req.metrics, result)
-        return result
+            node_makespan = max((n.total_time for n in q.per_node), default=0.0)
+            comp_budget = max(dl.budget - node_makespan, 0.0)
+        result.image, stats = direct_send(
+            fbs,
+            tile_layout,
+            interconnect=self.perf.network if dl is not None else None,
+            budget=comp_budget,
+            tracer=q.tracer,
+            track="cluster",
+            network=self.net,
+        )
+        result.composite_bytes = stats.total_bytes
+        if stats.lost_nodes:
+            # A contribution the network lost past the retry budget is
+            # missing from the frame: never silent.  (direct_send
+            # indexes the live framebuffer list, so map back to cluster
+            # ranks.)
+            result.net_lost_ranks = [live[i] for i in stats.lost_nodes]
+            result.degraded = True
+        return (stats.n_nodes - len(stats.dropped_nodes)) * tile_layout.n_tiles
 
     def _emit_summary_spans(
         self, tracer, result: ClusterResult, n_msgs: int
@@ -1537,8 +1417,6 @@ class SimulatedCluster:
         self,
         isovalues,
         request: "ExtractRequest | None" = None,
-        **legacy_kwargs,
     ) -> "list[ClusterResult]":
         """Run :meth:`extract` over a sequence of isovalues."""
-        req = _coerce_request(request, legacy_kwargs, "SimulatedCluster.sweep")
-        return [self.extract(lam, req) for lam in isovalues]
+        return [self.extract(lam, request) for lam in isovalues]

@@ -24,13 +24,9 @@ import numpy as np
 
 from repro.core.builder import IndexedDataset
 from repro.core.query import execute_query
+from repro.mc.backends import triangulate_records
 from repro.mc.geometry import TriangleMesh
-from repro.mc.marching_cubes import marching_cubes_batch
-from repro.parallel.pipeline import (
-    PipelineOptions,
-    default_mp_context,
-    pipelined_marching_cubes,
-)
+from repro.parallel.pipeline import PipelineOptions, default_mp_context
 
 
 @dataclass
@@ -64,11 +60,8 @@ def node_task(args) -> WorkerOutput:
     workers (they may not spawn their own children), so the result is
     identical either way.
     """
-    if len(args) == 2:
-        source, lam = args
-        pipeline = None
-    else:
-        source, lam, pipeline = args
+    source, lam, *rest = args
+    pipeline = rest[0] if rest else None
     if isinstance(source, str):
         from repro.core.persistence import load_dataset
 
@@ -76,23 +69,7 @@ def node_task(args) -> WorkerOutput:
     else:
         dataset = source
     qr = execute_query(dataset, lam)
-    if qr.n_active:
-        values = dataset.codec.values_grid(qr.records)
-        origins = dataset.meta.vertex_origins(qr.records.ids)
-        if pipeline is not None:
-            mesh = pipelined_marching_cubes(
-                values, lam, origins,
-                spacing=dataset.meta.spacing,
-                world_origin=dataset.meta.origin,
-                options=pipeline,
-            )
-        else:
-            mesh = marching_cubes_batch(
-                values, lam, origins,
-                spacing=dataset.meta.spacing, world_origin=dataset.meta.origin,
-            )
-    else:
-        mesh = TriangleMesh()
+    mesh, _ = triangulate_records(dataset, qr.records, lam, pipeline=pipeline)
     return WorkerOutput(
         node_rank=dataset.node_rank,
         n_active_metacells=qr.n_active,

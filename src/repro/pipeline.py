@@ -15,17 +15,15 @@ same pieces.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.builder import IndexedDataset, build_indexed_dataset
-from repro.core.query import QueryResult, execute_query
+from repro.core.query import DEFAULT_QUERY_OPTIONS, QueryResult
 from repro.grid.volume import Volume
+from repro.mc.backends import triangulate_records, validate_backend
 from repro.mc.geometry import TriangleMesh
-from repro.mc.marching_cubes import marching_cubes_batch
 from repro.parallel.metrics import NodeMetrics
+from repro.parallel.node import extract_node
 from repro.parallel.perfmodel import PAPER_CLUSTER, PerformanceModel
 from repro.render.camera import Camera
 from repro.render.rasterizer import Framebuffer, render_mesh, render_mesh_smooth
@@ -113,70 +111,16 @@ class IsosurfacePipeline:
         combination returns bit-identical geometry and identical modeled
         I/O charges; only wall time differs.
         """
-        t0 = time.perf_counter()
-        qr = (
-            execute_query(self.dataset, lam, options)
-            if options is not None
-            else execute_query(self.dataset, lam)
+        metrics, mesh, normals, qr = extract_node(
+            self.dataset, lam,
+            options if options is not None else DEFAULT_QUERY_OPTIONS,
+            perf=self.perf, with_normals=smooth,
         )
-        codec = self.dataset.codec
-        meta = self.dataset.meta
-        normals = None
-        pipeline = getattr(options, "pipeline", None)
-        backend = getattr(options, "backend", "mc-batch")
-        batch_chunk = getattr(options, "batch_chunk", None)
-        if qr.n_active:
-            if pipeline is not None:
-                from repro.obs.tracer import coerce_tracer
-                from repro.parallel.pipeline import pipelined_marching_cubes
-
-                out = pipelined_marching_cubes(
-                    codec.values_grid(qr.records),
-                    lam,
-                    meta.vertex_origins(qr.records.ids),
-                    spacing=meta.spacing,
-                    world_origin=meta.origin,
-                    with_normals=smooth,
-                    options=pipeline,
-                    tracer=coerce_tracer(getattr(options, "tracer", None)),
-                    track=getattr(options, "track", None),
-                    backend=backend,
-                    batch_chunk=batch_chunk,
-                )
-            else:
-                from repro.mc.backends import get_backend
-                from repro.mc.marching_cubes import DEFAULT_BATCH_CHUNK
-
-                out = get_backend(backend).batch(
-                    codec.values_grid(qr.records),
-                    lam,
-                    meta.vertex_origins(qr.records.ids),
-                    spacing=meta.spacing,
-                    world_origin=meta.origin,
-                    chunk=(
-                        DEFAULT_BATCH_CHUNK if batch_chunk is None
-                        else batch_chunk
-                    ),
-                    with_normals=smooth,
-                )
-            mesh, normals = out if smooth else (out, None)
-        else:
-            mesh = TriangleMesh()
-        measured = time.perf_counter() - t0
-
-        cells_per_metacell = int(np.prod([m - 1 for m in codec.metacell_shape]))
-        metrics = NodeMetrics(node_rank=0)
-        metrics.n_active_metacells = qr.n_active
-        metrics.n_cells_examined = qr.n_active * cells_per_metacell
-        metrics.n_triangles = mesh.n_triangles
-        metrics.io_stats = qr.io_stats
-        metrics.io_time = self.perf.io_time(qr.io_stats)
-        metrics.triangulation_time = self.perf.cpu.triangulation_time(
-            metrics.n_cells_examined, metrics.n_triangles
-        )
+        # The readback of one image_size buffer is charged even when
+        # nothing is rasterized here: total_time is the paper's
+        # three-stage node time, GPU stage modeled from the triangles.
         w, h = image_size
         metrics.render_time = self.perf.gpu.render_time(mesh.n_triangles, w * h * 16)
-        metrics.measured_seconds = measured
 
         image = None
         if render and mesh.n_triangles:
@@ -207,26 +151,15 @@ class IsosurfacePipeline:
         requested extraction ``backend``.
         """
         from repro.core.multi_query import execute_multi_query
-        from repro.mc.backends import get_backend
 
-        bk = get_backend(backend)
+        validate_backend(backend)  # before any disk is touched
         multi = execute_multi_query(self.dataset, lams)
-        meta = self.dataset.meta
-        codec = self.dataset.codec
-        out: dict[float, TriangleMesh] = {}
-        for lam in multi.lams:
-            records = multi.records_for(lam)
-            if len(records):
-                out[lam] = bk.batch(
-                    codec.values_grid(records),
-                    lam,
-                    meta.vertex_origins(records.ids),
-                    spacing=meta.spacing,
-                    world_origin=meta.origin,
-                )
-            else:
-                out[lam] = TriangleMesh()
-        return out
+        return {
+            lam: triangulate_records(
+                self.dataset, multi.records_for(lam), lam, backend=backend
+            )[0]
+            for lam in multi.lams
+        }
 
     def extract_roi(self, lam: float, box_lo, box_hi):
         """Extract only the surface inside a world-space box; see

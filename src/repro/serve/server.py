@@ -532,7 +532,6 @@ class QueryServer:
                 speculate=self.config.speculate,
                 tenant=job.request.tenant,
                 metrics=self.metrics,
-                cache=co,
                 result_cache=self.result_cache,
                 cache_populate=populate,
                 backend=self.config.backend,

@@ -203,22 +203,13 @@ class TestCacheOptions:
         exact = CacheOptions()
         assert exact.bucket_of(0.42) == 0.42
 
-    def test_cache_blocks_ctor_shim_warns_once(self):
-        from repro.core.query import reset_legacy_warnings
-        from repro.io.cache import CacheOptions
+    def test_cache_blocks_ctor_alias_is_gone(self):
+        # CacheOptions is the one spelling of a block-cache budget
+        # (exercised by test_cluster_cache_stats_aggregates_and_publishes).
         from repro.parallel.cluster import SimulatedCluster
 
-        vol = sphere_field((20, 20, 20))
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning, match="cache_blocks"):
-            cluster = SimulatedCluster(
-                vol, 2, metacell_shape=(5, 5, 5), cache_blocks=8
-            )
-        assert isinstance(cluster.datasets[0].device, CachedDevice)
-        # Both spellings together are a hard error, not a silent merge.
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match="cache_blocks"):
             SimulatedCluster(
-                vol, 2, metacell_shape=(5, 5, 5), cache_blocks=8,
-                cache=CacheOptions(),
+                sphere_field((20, 20, 20)), 2, metacell_shape=(5, 5, 5),
+                cache_blocks=8,
             )
-        reset_legacy_warnings()

@@ -23,7 +23,6 @@ Four contracts under test:
 
 import dataclasses
 import importlib
-import warnings
 
 import numpy as np
 import pytest
@@ -585,38 +584,23 @@ class TestClusterBackendMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Modern-kwarg shim (the CacheOptions convention)
+# backend= / batch_chunk= travel as option fields only (the keyword sugar
+# went with the legacy-kwarg shim)
 # ---------------------------------------------------------------------------
 
 
 class TestModernKwargShim:
-    def test_modern_kwarg_standalone_no_warning(self, sphere_pipe):
-        ds = build_indexed_dataset(sphere_field((24, 24, 24)), (5, 5, 5))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = execute_query(ds, 0.5, backend="surface-nets")
-        assert res.n_records_read > 0
-
     def test_modern_plus_legacy_raises_both_spellings(self):
         ds = build_indexed_dataset(sphere_field((24, 24, 24)), (5, 5, 5))
-        with pytest.raises(TypeError, match="backend.*read_ahead_blocks"):
+        with pytest.raises(TypeError, match="backend"):
+            execute_query(ds, 0.5, backend="surface-nets")
+        with pytest.raises(TypeError, match="unexpected keyword"):
             execute_query(ds, 0.5, backend="surface-nets", read_ahead_blocks=2)
 
     def test_modern_plus_options_object_raises(self):
         ds = build_indexed_dataset(sphere_field((24, 24, 24)), (5, 5, 5))
-        with pytest.raises(TypeError, match="QueryOptions"):
+        with pytest.raises(TypeError, match="backend"):
             execute_query(ds, 0.5, QueryOptions(), backend="surface-nets")
-
-    def test_cluster_modern_kwarg_standalone(self, small_cluster_volume):
-        cluster = SimulatedCluster(
-            small_cluster_volume, p=2, metacell_shape=(9, 9, 9)
-        )
-        eps = cluster.datasets[0].tree.endpoints
-        lam = float(eps[len(eps) // 2])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = cluster.extract(lam, backend="surface-nets")
-        assert res.backend == "surface-nets"
 
     def test_cluster_modern_plus_legacy_raises(self, small_cluster_volume):
         cluster = SimulatedCluster(
@@ -624,9 +608,9 @@ class TestModernKwargShim:
         )
         eps = cluster.datasets[0].tree.endpoints
         lam = float(eps[len(eps) // 2])
-        with pytest.raises(TypeError, match="backend.*smooth"):
-            cluster.extract(lam, backend="surface-nets", smooth=True)
-        with pytest.raises(TypeError, match="batch_chunk.*deadline"):
+        with pytest.raises(TypeError, match="backend"):
+            cluster.extract(lam, backend="surface-nets")
+        with pytest.raises(TypeError, match="unexpected keyword"):
             cluster.extract(lam, batch_chunk=64, deadline=1.0)
 
     def test_request_field_roundtrip(self):

@@ -1,29 +1,21 @@
-"""The unified request/options API and its legacy-kwarg shims.
+"""The one call form: a request/options object, or nothing.
 
 The contract under test (see docs/API.md):
 
-* :class:`QueryOptions` / :class:`ExtractRequest` carry every knob the
-  old kwarg-sprawl forms accepted, and calls through either form are
-  result-identical;
-* legacy keyword calls emit exactly one :class:`DeprecationWarning` per
-  (function, kwarg set) per process, attributed to the caller;
-* mixing both forms, unknown keywords, and invalid field values fail
-  fast with typed errors.
+* :class:`QueryOptions` / :class:`ExtractRequest` are frozen, validate
+  their fields, and derive variants with :func:`dataclasses.replace`;
+* ``execute_query`` / ``execute_plan`` / ``SimulatedCluster.extract`` /
+  ``sweep`` take that object positionally or by name and nothing else:
+  a keyword setting (the removed second call form), an unknown keyword,
+  or an object of the wrong type is a :class:`TypeError`.
 """
 
 import dataclasses
-import warnings
 
-import numpy as np
 import pytest
 
 from repro.core.builder import build_indexed_dataset
-from repro.core.query import (
-    QueryOptions,
-    execute_plan,
-    execute_query,
-    reset_legacy_warnings,
-)
+from repro.core.query import QueryOptions, execute_plan, execute_query
 from repro.grid.datasets import sphere_field
 from repro.parallel.cluster import ExtractRequest, SimulatedCluster
 
@@ -54,60 +46,35 @@ class TestQueryOptions:
         with pytest.raises(ValueError):
             QueryOptions(read_ahead_blocks=0)
 
-    def test_legacy_kwargs_equal_options(self, volume):
-        reset_legacy_warnings()
-        a_ds = build_indexed_dataset(volume, (5, 5, 5))
-        b_ds = build_indexed_dataset(volume, (5, 5, 5))
-        with pytest.warns(DeprecationWarning, match="read_ahead_blocks"):
-            a = execute_query(a_ds, ISO, read_ahead_blocks=2)
-        b = execute_query(b_ds, ISO, QueryOptions(read_ahead_blocks=2))
-        assert np.array_equal(a.records.ids, b.records.ids)
-        assert a.io_stats.blocks_read == b.io_stats.blocks_read
-        assert a.io_stats.seeks == b.io_stats.seeks
-
-    def test_warning_fires_once_per_kwarg_set(self, dataset):
-        reset_legacy_warnings()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            execute_query(dataset, ISO, read_ahead_blocks=2)
-            execute_query(dataset, ISO, read_ahead_blocks=4)
-            execute_query(dataset, ISO, time_budget=None)  # different set
-        dep = [w for w in caught if w.category is DeprecationWarning]
-        assert len(dep) == 2
-        assert "options=QueryOptions(...)" in str(dep[0].message)
-
-    def test_reset_rearms_the_warning(self, dataset):
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            execute_query(dataset, ISO, read_ahead_blocks=2)
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            execute_query(dataset, ISO, read_ahead_blocks=2)
-
     def test_both_forms_rejected(self, dataset):
-        with pytest.raises(TypeError, match="both"):
+        # Settings travel in the options object only.
+        with pytest.raises(TypeError, match="time_budget"):
             execute_query(
                 dataset, ISO, QueryOptions(read_ahead_blocks=2), time_budget=1.0
             )
+        with pytest.raises(TypeError, match="read_ahead_blocks"):
+            execute_query(dataset, ISO, read_ahead_blocks=2)
 
     def test_unknown_kwarg_rejected(self, dataset):
+        plan = dataset.tree.plan_query(ISO)
         with pytest.raises(TypeError, match="no_such_knob"):
             execute_query(dataset, ISO, no_such_knob=1)
+        with pytest.raises(TypeError, match="no_such_knob"):
+            execute_plan(dataset, plan, no_such_knob=1)
 
     def test_non_options_positional_rejected(self, dataset):
+        plan = dataset.tree.plan_query(ISO)
         with pytest.raises(TypeError, match="QueryOptions"):
             execute_query(dataset, ISO, {"read_ahead_blocks": 2})
+        with pytest.raises(TypeError, match="QueryOptions"):
+            execute_plan(dataset, plan, {"read_ahead_blocks": 2})
 
-    def test_execute_plan_shares_the_shim(self, volume, dataset):
-        reset_legacy_warnings()
-        plan = dataset.tree.plan_query(ISO)
-        with pytest.warns(DeprecationWarning, match="execute_plan"):
-            legacy = execute_plan(dataset, plan, read_ahead_blocks=2)
-        ds2 = build_indexed_dataset(volume, (5, 5, 5))
-        new = execute_plan(
-            ds2, ds2.tree.plan_query(ISO), QueryOptions(read_ahead_blocks=2)
-        )
-        assert np.array_equal(legacy.records.ids, new.records.ids)
+    def test_options_by_name_or_position(self, dataset):
+        opts = QueryOptions(read_ahead_blocks=2)
+        a = execute_query(dataset, ISO, opts)
+        b = execute_query(dataset, ISO, options=opts)
+        assert a.n_active == b.n_active > 0
+        assert a.io_stats.blocks_read == b.io_stats.blocks_read
 
 
 class TestExtractRequest:
@@ -115,40 +82,27 @@ class TestExtractRequest:
         with pytest.raises(dataclasses.FrozenInstanceError):
             ExtractRequest().render = True
 
-    def test_legacy_kwargs_equal_request(self, volume):
-        reset_legacy_warnings()
-        a_cluster = SimulatedCluster(volume, p=2, metacell_shape=(5, 5, 5))
-        b_cluster = SimulatedCluster(volume, p=2, metacell_shape=(5, 5, 5))
-        with pytest.warns(DeprecationWarning, match="SimulatedCluster.extract"):
-            a = a_cluster.extract(ISO, render=True, keep_meshes=True)
-        b = b_cluster.extract(ISO, ExtractRequest(render=True, keep_meshes=True))
-        assert a.n_triangles == b.n_triangles
-        assert np.array_equal(a.image.color, b.image.color)
-        assert np.array_equal(a.image.depth, b.image.depth)
-
     def test_both_forms_rejected(self, volume):
         cluster = SimulatedCluster(volume, p=2, metacell_shape=(5, 5, 5))
-        with pytest.raises(TypeError, match="both"):
+        # Settings travel in the request object only.
+        with pytest.raises(TypeError, match="keep_meshes"):
             cluster.extract(ISO, ExtractRequest(render=True), keep_meshes=True)
+        with pytest.raises(TypeError, match="render"):
+            cluster.extract(ISO, render=True)
 
     def test_unknown_kwarg_rejected(self, volume):
         cluster = SimulatedCluster(volume, p=2, metacell_shape=(5, 5, 5))
         with pytest.raises(TypeError, match="no_such_knob"):
             cluster.extract(ISO, no_such_knob=True)
+        with pytest.raises(TypeError, match="no_such_knob"):
+            cluster.sweep([ISO], no_such_knob=True)
 
     def test_non_request_positional_rejected(self, volume):
         cluster = SimulatedCluster(volume, p=2, metacell_shape=(5, 5, 5))
         with pytest.raises(TypeError, match="ExtractRequest"):
             cluster.extract(ISO, {"render": True})
-
-    def test_sweep_shares_the_shim(self, volume):
-        reset_legacy_warnings()
-        a_cluster = SimulatedCluster(volume, p=2, metacell_shape=(5, 5, 5))
-        b_cluster = SimulatedCluster(volume, p=2, metacell_shape=(5, 5, 5))
-        with pytest.warns(DeprecationWarning, match="SimulatedCluster.sweep"):
-            a = a_cluster.sweep([ISO], keep_meshes=True)
-        b = b_cluster.sweep([ISO], ExtractRequest(keep_meshes=True))
-        assert a[0].n_triangles == b[0].n_triangles
+        with pytest.raises(TypeError, match="ExtractRequest"):
+            cluster.sweep([ISO], {"render": True})
 
     def test_replace_derives_variants(self):
         base = ExtractRequest(render=True)

@@ -95,13 +95,15 @@ def main() -> int:
         "out = cluster.extract(128.0, ExtractRequest(render=True, tracer=tr))",
         "```",
         "",
-        "The pre-1.0 keyword forms (`execute_query(ds, lam,",
-        "read_ahead_blocks=...)`, `cluster.extract(lam, render=True, ...)`)",
-        "still work but emit a `DeprecationWarning` once per call form;",
-        "the repo's own modules are held to the new API by the pytest",
-        "filter `error::DeprecationWarning:repro\\..*`.  Traces and",
-        "metrics live on the modeled clock, so same-seed runs serialize",
-        "byte-identically (see `repro.obs` and docs/PERFMODEL.md).",
+        "That object (or nothing) is the only call form: `execute_query`,",
+        "`execute_plan`, `SimulatedCluster.extract` and `sweep` reject",
+        "keyword settings and wrong-typed arguments with a `TypeError`.",
+        "Both entry points run the same node stage,",
+        "`repro.parallel.node.extract_node` (query → triangulate →",
+        "account); `IsosurfacePipeline.extract` is its p=1 instantiation.",
+        "Traces and metrics live on the modeled clock, so same-seed runs",
+        "serialize byte-identically (see `repro.obs` and",
+        "docs/PERFMODEL.md).",
         "",
         "## The zero-copy streaming pipeline",
         "",
@@ -140,10 +142,9 @@ def main() -> int:
         "`repro.serve.rcache`), `lambda_bucket` (isovalue bucket width for",
         "request coalescing and the mesh tier's key), and `coalesce`",
         "(attach duplicate in-flight isovalues to the running extraction).",
-        "It is accepted everywhere caching applies — `SimulatedCluster(",
-        "cache=...)`, `ElasticCluster(cache=...)`, `ServeConfig(cache=...)`,",
-        "`QueryOptions(cache=...)`, `ExtractRequest(cache=...)` — and the",
-        "CLI builds one from `--cache-blocks`, `--result-cache-mb`,",
+        "It is accepted by every layer that owns caches — `SimulatedCluster(",
+        "cache=...)`, `ElasticCluster(cache=...)`, `ServeConfig(cache=...)` —",
+        "and the CLI builds one from `--cache-blocks`, `--result-cache-mb`,",
         "`--lambda-bucket`, and `--no-coalesce` on `cluster`, `serve-sim`,",
         "and `elastic-sim` alike:",
         "",
@@ -154,9 +155,8 @@ def main() -> int:
         "    result_cache_bytes=64 << 20, lambda_bucket=0.02))",
         "```",
         "",
-        "The pre-1.0 `SimulatedCluster(cache_blocks=N)` keyword still works",
-        "but emits a one-shot `DeprecationWarning`.  Cached, coalesced,",
-        "and sweep-delta answers are bit-identical to cold extraction, and",
+        "Cached, coalesced, and sweep-delta answers are bit-identical to",
+        "cold extraction, and",
         "every key embeds the ownership epoch so elastic reshards and",
         "failovers fence the cache atomically — see docs/robustness.md,",
         "\"Result reuse\".",
