@@ -10,7 +10,9 @@ is orders of magnitude faster than a real one.
 
 Both extraction backends are timed — the exact ``mc-batch`` kernel and
 the ``surface-nets`` dual kernel the renderer defaults to — as raw
-triangulation rate and as end-to-end ``extract()`` throughput.
+triangulation rate and as end-to-end ``extract()`` throughput.  The
+software rasterizer is timed on the exact mesh into a 256 x 256 frame,
+flat and Gouraud, under the same best-of-N protocol.
 
 Alongside the stage table it micro-benchmarks the three checksum-verify
 strategies the I/O layer grew (per-record ``zlib.crc32`` loop, the
@@ -37,6 +39,8 @@ from repro.io.layout import _vectorized_record_crcs, compute_cum_crcs
 from repro.mc.marching_cubes import marching_cubes_batch
 from repro.mc.surface_nets import surface_nets_batch
 from repro.pipeline import IsosurfacePipeline
+from repro.render.camera import Camera
+from repro.render.rasterizer import Framebuffer, render_mesh, render_mesh_smooth
 
 #: Full-extract throughput (Mtri/s) this bench measured on the reference
 #: container *before* the zero-copy streaming work (scalar CRC loop,
@@ -138,6 +142,25 @@ def test_python_throughput(benchmark, cfg):
 
     crc = _crc_verify_bench(ds.codec.record_size)
 
+    # The rasterizer rows: one fixed mesh (the exact kernel's), one
+    # auto-framed camera, one reused 256^2 frame (its 0.07 ms clear is
+    # inside the clock: every frame pays it).
+    camera, fb = Camera.fit_mesh(mesh), Framebuffer(256, 256)
+    vertex_normals = mesh.vertex_normals()
+
+    def flat():
+        fb.clear()
+        return render_mesh(fb, mesh, camera)
+
+    def smooth():
+        fb.clear()
+        return render_mesh_smooth(fb, mesh, camera, vertex_normals)
+
+    n_flat, t_flat = _timed(flat, 10)
+    n_smooth, t_smooth = _timed(smooth, 10)
+    flat_mtri_s = n_flat / max(t_flat, 1e-9) / 1e6
+    smooth_mtri_s = n_smooth / max(t_smooth, 1e-9) / 1e6
+
     rows = [
         ["preprocess (scan+index+layout)",
          f"{volume.nbytes / t_build / 1e6:.1f} MB/s of volume",
@@ -157,6 +180,12 @@ def test_python_throughput(benchmark, cfg):
         ["full extract(), surface-nets backend",
          f"{res.n_triangles / max(t_full, 1e-9) / 1e6:.2f} Mtri/s",
          f"{t_full * 1e3:.1f} ms"],
+        ["rasterize 256x256, flat (numpy, fragment-batched)",
+         f"{flat_mtri_s:.2f} Mtri/s",
+         f"{t_flat * 1e3:.1f} ms"],
+        ["rasterize 256x256, Gouraud",
+         f"{smooth_mtri_s:.2f} Mtri/s",
+         f"{t_smooth * 1e3:.1f} ms"],
         ["crc verify: per-record loop (734 B records)",
          f"{crc['loop_mb_s']:.0f} MB/s", "-"],
         ["crc verify: cumulative span (hot read path)",
@@ -195,6 +224,8 @@ def test_python_throughput(benchmark, cfg):
         "full_extract_baseline_mtri_s": PRE_REWORK_FULL_EXTRACT_MTRI_S,
         "full_extract_speedup_vs_baseline":
             full_mtri_s / PRE_REWORK_FULL_EXTRACT_MTRI_S,
+        "rasterize_flat_mtri_s": flat_mtri_s,
+        "rasterize_smooth_mtri_s": smooth_mtri_s,
         "crc_verify_loop_mb_s": crc["loop_mb_s"],
         "crc_verify_span_mb_s": crc["span_mb_s"],
         "crc_verify_span_speedup": crc["span_speedup"],
@@ -206,6 +237,7 @@ def test_python_throughput(benchmark, cfg):
     assert mesh.n_triangles == res_mc.n_triangles
     assert sn_mesh.n_triangles == res.n_triangles
     assert mesh.n_triangles / max(t_tri, 1e-9) > 1e5  # >0.1 Mtri/s in numpy
+    assert n_flat == n_smooth > 0 and fb.coverage() > 0.0
     # Each verify strategy must beat the loop baseline where it deploys.
     assert crc["span_speedup"] > 1.0
     assert crc["vectorized_speedup"] > 1.0

@@ -171,6 +171,16 @@ class TestBenchSchemaChecker:
         with pytest.raises(ValueError, match="NaN"):
             self._checker().check_metric_values(self._payload(bad=float("nan")))
 
+    def test_named_payload_must_carry_its_rows(self):
+        mod = self._checker()
+        rows = dict.fromkeys(mod.REQUIRED_METRICS["throughput"], 1.0)
+        payload = {**self._payload(**rows), "name": "throughput"}
+        mod.check_required_metrics(payload)
+        del payload["metrics"]["rasterize_flat_mtri_s"]
+        with pytest.raises(ValueError, match="rasterize_flat_mtri_s"):
+            mod.check_required_metrics(payload)
+        mod.check_required_metrics({**payload, "name": "t"})  # unnamed: free-form
+
     def test_main_fails_on_bad_file(self, tmp_path):
         import json
 

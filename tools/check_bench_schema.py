@@ -53,20 +53,38 @@ def check_metric_values(payload: dict) -> None:
             raise ValueError(f"metric {key!r} is negative: {value!r}")
 
 
+#: Rows a named payload must carry: a bench that stops emitting one is
+#: schema drift even when no ``--floor`` names the row.
+REQUIRED_METRICS = {
+    "chaos": ("trials", "violations", "violating_trials"),
+    "throughput": (
+        "mc_batch_mtri_s", "surface_nets_mtri_s", "full_extract_mtri_s",
+        "rasterize_flat_mtri_s", "rasterize_smooth_mtri_s",
+    ),
+}
+
+
+def check_required_metrics(payload: dict) -> None:
+    """Raise ``ValueError`` when a payload named in
+    :data:`REQUIRED_METRICS` lacks one of its rows."""
+    name = payload.get("name")
+    for key in REQUIRED_METRICS.get(name, ()):
+        if key not in payload.get("metrics", {}):
+            raise ValueError(f"{name} payload is missing metric {key!r}")
+
+
 def check_chaos_payload(payload: dict) -> None:
     """Extra gate for the chaos soak payload (``name == "chaos"``).
 
-    The chaos bench is a pass/fail soak, not a perf table: it must
-    carry its trial accounting, and a payload reporting *any* invariant
-    violation is a red build no matter what the suite said — the soak
-    can never be merged green with a known violation in its artifact.
+    The chaos bench is a pass/fail soak, not a perf table: beyond
+    carrying its trial accounting (:func:`check_required_metrics`), a
+    payload reporting *any* invariant violation is a red build no
+    matter what the suite said — the soak can never be merged green
+    with a known violation in its artifact.
     """
     if payload.get("name") != "chaos":
         return
-    metrics = payload.get("metrics", {})
-    for key in ("trials", "violations", "violating_trials"):
-        if key not in metrics:
-            raise ValueError(f"chaos payload is missing metric {key!r}")
+    metrics = payload["metrics"]
     if metrics["trials"] <= 0:
         raise ValueError("chaos payload reports zero trials (vacuous soak)")
     if metrics["violations"] > 0 or metrics["violating_trials"] > 0:
@@ -148,6 +166,7 @@ def main(argv: "list[str] | None" = None) -> int:
             payload = json.loads(path.read_text())
             validate_bench_payload(payload)
             check_metric_values(payload)
+            check_required_metrics(payload)
             check_chaos_payload(payload)
         except (OSError, ValueError) as exc:
             print(f"FAIL {path}: {exc}", file=sys.stderr)
