@@ -35,7 +35,7 @@ from repro.bench.harness import emit, emit_bench_json, rm_bench_volume
 from repro.bench.tables import format_table
 from repro.core.builder import build_indexed_dataset
 from repro.core.query import QueryOptions, execute_query
-from repro.io.layout import _vectorized_record_crcs, compute_cum_crcs
+from repro.io.layout import _vectorized_record_crcs, compute_crc_tables
 from repro.mc.marching_cubes import marching_cubes_batch
 from repro.mc.surface_nets import surface_nets_batch
 from repro.pipeline import IsosurfacePipeline
@@ -81,7 +81,7 @@ def _crc_verify_bench(record_size: int = 734, n_records: int = 4096,
             for p in range(n_records)
         ]
 
-    cum = compute_cum_crcs(blob, record_size)
+    _, cum = compute_crc_tables(blob, record_size)
 
     def span():
         return zlib.crc32(blob, int(cum[0])) == int(cum[n_records])

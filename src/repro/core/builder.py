@@ -28,12 +28,7 @@ from repro.grid.metacell import MetacellPartition, partition_metacells
 from repro.grid.volume import Volume
 from repro.io.blockdevice import SimulatedBlockDevice
 from repro.io.cost_model import IOCostModel
-from repro.io.layout import (
-    BrickChecksums,
-    MetacellCodec,
-    compute_cum_crcs,
-    compute_record_crcs,
-)
+from repro.io.layout import BrickChecksums, MetacellCodec, compute_crc_tables
 
 #: Records serialized per chunk during the layout write, bounding resident
 #: memory during preprocessing of large volumes.
@@ -152,10 +147,11 @@ class IndexedDataset:
         return self.tree.n_records
 
 
-def _make_meta(volume: Volume, partition: MetacellPartition) -> DatasetMeta:
+def _make_meta(volume, grid_shape, metacell_shape) -> DatasetMeta:
+    """Grid metadata of ``volume`` (a :class:`Volume` or a slab source)."""
     return DatasetMeta(
-        grid_shape=partition.grid_shape,
-        metacell_shape=partition.metacell_shape,
+        grid_shape=tuple(grid_shape),
+        metacell_shape=tuple(metacell_shape),
         volume_shape=volume.shape,
         spacing=volume.spacing,
         origin=volume.origin,
@@ -164,18 +160,18 @@ def _make_meta(volume: Volume, partition: MetacellPartition) -> DatasetMeta:
 
 
 def _make_report(
-    partition: MetacellPartition,
+    n_metacells: int,
+    original_bytes: int,
     intervals: IntervalSet,
     tree: CompactIntervalTree,
     codec: MetacellCodec,
 ) -> PreprocessReport:
-    total = partition.n_metacells
     stored = len(intervals)
     return PreprocessReport(
-        n_metacells_total=total,
-        n_metacells_culled=total - stored,
+        n_metacells_total=n_metacells,
+        n_metacells_culled=n_metacells - stored,
         n_metacells_stored=stored,
-        original_bytes=partition.volume.nbytes,
+        original_bytes=original_bytes,
         stored_bytes=stored * codec.record_size,
         index_bytes=tree.index_size_bytes(),
         n_distinct_endpoints=len(tree.endpoints),
@@ -184,36 +180,58 @@ def _make_report(
     )
 
 
-def _write_records(
-    device,
+def encode_group(
     codec: MetacellCodec,
     partition: MetacellPartition,
     ids: np.ndarray,
     vmins: np.ndarray,
-) -> "tuple[int, np.ndarray, np.ndarray]":
-    """Serialize records (in the given order) to ``device``.
+    crcs: np.ndarray,
+    cum: np.ndarray,
+    s: int,
+    e: int,
+) -> bytes:
+    """Gather, encode and checksum layout records ``[s, e)``.
 
-    Returns ``(base_offset, record_crcs, cum_crcs)``: the CRC32 of every
-    record — and the cumulative stream CRC table that makes span
-    verification one call — is computed from the exact bytes written, so
-    the checksum tables are the layout's ground truth from the moment
-    they exist.
+    The one group routine of every layout write: returns the bytes to
+    write and fills ``crcs[s:e]`` and ``cum[s + 1 : e + 1]`` (continuing
+    the stream CRC from ``cum[s]``) from exactly those bytes, so the
+    checksum tables are the layout's ground truth from the moment they
+    exist.
     """
+    values = partition.extract_values(ids[s:e])
+    blob = codec.encode(ids[s:e], vmins[s:e], values)
+    crcs[s:e], group_cum = compute_crc_tables(blob, codec.record_size, int(cum[s]))
+    cum[s + 1 : e + 1] = group_cum[1:]
+    return blob
+
+
+def _write_records(
+    device,
+    codec: MetacellCodec,
+    partition: MetacellPartition,
+    tree: CompactIntervalTree,
+    checksum: bool = True,
+) -> "tuple[int, BrickChecksums | None]":
+    """Serialize ``tree``'s records, in layout order, to ``device``.
+
+    Returns ``(base_offset, checksums)``: the CRC32 of every record, the
+    cumulative stream CRC table that makes span verification one call,
+    and the per-brick rollup (``None`` with ``checksum=False``).
+    """
+    ids, vmins = tree.record_ids, tree.record_vmins
     n = len(ids)
     base = device.allocate(n * codec.record_size)
     crcs = np.empty(n, dtype=np.uint32)
-    cum = np.empty(n + 1, dtype=np.uint32)
-    cum[0] = 0
+    cum = np.zeros(n + 1, dtype=np.uint32)
     for s in range(0, n, WRITE_CHUNK_RECORDS):
         e = min(s + WRITE_CHUNK_RECORDS, n)
-        values = partition.extract_values(ids[s:e])
-        blob = codec.encode(ids[s:e], vmins[s:e], values)
+        blob = encode_group(codec, partition, ids, vmins, crcs, cum, s, e)
         device.write(base + s * codec.record_size, blob)
-        crcs[s:e] = compute_record_crcs(blob, codec.record_size)
-        cum[s + 1 : e + 1] = compute_cum_crcs(
-            blob, codec.record_size, initial=int(cum[s])
-        )[1:]
-    return base, crcs, cum
+    if not checksum:
+        return base, None
+    return base, BrickChecksums.from_record_crcs(
+        crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
+    )
 
 
 def build_indexed_dataset(
@@ -235,23 +253,17 @@ def build_indexed_dataset(
     codec = MetacellCodec(partition.metacell_shape, volume.dtype)
     if device is None:
         device = SimulatedBlockDevice(cost_model or IOCostModel())
-    base, crcs, cum = _write_records(
-        device, codec, partition, tree.record_ids, tree.record_vmins
-    )
+    base, checksums = _write_records(device, codec, partition, tree, checksum)
     return IndexedDataset(
         tree=tree,
         device=device,
         codec=codec,
         base_offset=base,
-        meta=_make_meta(volume, partition),
-        report=_make_report(partition, intervals, tree, codec),
-        checksums=(
-            BrickChecksums.from_record_crcs(
-                crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
-            )
-            if checksum
-            else None
+        meta=_make_meta(volume, partition.grid_shape, partition.metacell_shape),
+        report=_make_report(
+            partition.n_metacells, volume.nbytes, intervals, tree, codec
         ),
+        checksums=checksums,
     )
 
 
@@ -291,8 +303,8 @@ def build_striped_datasets(
     intervals = IntervalSet.from_partition(partition, drop_constant=drop_constant)
     tree = CompactIntervalTree.build(intervals)
     codec = MetacellCodec(partition.metacell_shape, volume.dtype)
-    report = _make_report(partition, intervals, tree, codec)
-    meta = _make_meta(volume, partition)
+    report = _make_report(partition.n_metacells, volume.nbytes, intervals, tree, codec)
+    meta = _make_meta(volume, partition.grid_shape, partition.metacell_shape)
 
     if devices is None:
         devices = [SimulatedBlockDevice(cost_model or IOCostModel()) for _ in range(p)]
@@ -302,9 +314,7 @@ def build_striped_datasets(
     layouts: list[StripedNodeLayout] = stripe_brick_records(tree, p, stagger=stagger)
     out = []
     for lay, device in zip(layouts, devices):
-        base, crcs, cum = _write_records(
-            device, codec, partition, lay.tree.record_ids, lay.tree.record_vmins
-        )
+        base, checksums = _write_records(device, codec, partition, lay.tree, checksum)
         out.append(
             IndexedDataset(
                 tree=lay.tree,
@@ -315,14 +325,7 @@ def build_striped_datasets(
                 report=report,
                 node_rank=lay.node_rank,
                 n_cluster_nodes=p,
-                checksums=(
-                    BrickChecksums.from_record_crcs(
-                        crcs, lay.tree.brick_start, lay.tree.brick_count,
-                        cum_crcs=cum,
-                    )
-                    if checksum
-                    else None
-                ),
+                checksums=checksums,
             )
         )
 
@@ -331,9 +334,7 @@ def build_striped_datasets(
     for i in range(1, replication):
         for q in range(p):
             src = (q - i) % p
-            lay = layouts[src]
-            rep_base, _, _ = _write_records(
-                devices[q], codec, partition, lay.tree.record_ids, lay.tree.record_vmins
+            out[q].replica_stores[src], _ = _write_records(
+                devices[q], codec, partition, layouts[src].tree, checksum=False
             )
-            out[q].replica_stores[src] = rep_base
     return out

@@ -30,11 +30,19 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.builder import DatasetMeta, IndexedDataset, PreprocessReport
+from repro.core.builder import (
+    WRITE_CHUNK_RECORDS,
+    DatasetMeta,
+    IndexedDataset,
+    PreprocessReport,
+    _make_meta,
+    _make_report,
+    encode_group,
+)
 from repro.core.compact_tree import CompactIntervalTree, TreeNode
 from repro.io.cost_model import IOCostModel
 from repro.io.diskfile import FileBackedDevice
-from repro.io.layout import BrickChecksums, MetacellCodec
+from repro.io.layout import BrickChecksums, MetacellCodec, compute_crc_tables
 
 #: Format version for forward-compatibility checks.  Version 2 added the
 #: CRC32 checksum tables (``record_crcs`` / ``brick_crcs`` in the index
@@ -304,9 +312,10 @@ def build_fingerprint(volume, metacell_shape, n_records, record_size) -> dict:
     *different* data would corrupt it silently, so mismatch means start
     over.
     """
-    data = np.ascontiguousarray(volume.data)
     return {
-        "volume_crc": zlib.crc32(data.tobytes()),
+        # Hashed in place through the buffer protocol: ``tobytes()`` would
+        # copy the whole volume (7.5 GB per time step at paper scale).
+        "volume_crc": zlib.crc32(np.ascontiguousarray(volume.data)),
         "volume_shape": list(volume.shape),
         "dtype": str(volume.dtype),
         "metacell_shape": list(metacell_shape),
@@ -317,8 +326,8 @@ def build_fingerprint(volume, metacell_shape, n_records, record_size) -> dict:
 
 
 def _verified_resume_point(
-    data_path: Path, state, record_size: int
-) -> "tuple[int, np.ndarray, np.ndarray]":
+    data_path: Path, state, record_size: int, crcs: np.ndarray, cum: np.ndarray
+) -> int:
     """Re-verify journaled groups against actual file bytes.
 
     The journal *claims* ``records_done`` records are durable; the crash
@@ -326,16 +335,12 @@ def _verified_resume_point(
     write the journal never learned about).  Walk the journaled groups
     in order, recomputing the cumulative CRC32 of the file's record
     stream, and stop at the first group whose claim the bytes do not
-    honor.  Returns ``(records_verified, record_crcs, cum_crcs)`` for
-    the verified prefix — the checksum tables of a resumed build are
-    recomputed from disk, never trusted from the journal alone.
+    honor.  Returns the number of records verified and fills ``crcs`` /
+    ``cum`` (``cum[0] == 0`` on entry) for that prefix — the checksum
+    tables of a resumed build are recomputed from disk, never trusted
+    from the journal alone.
     """
-    from repro.io.layout import compute_cum_crcs, compute_record_crcs
-
     verified = 0
-    crcs_parts: "list[np.ndarray]" = []
-    cum_parts: "list[np.ndarray]" = [np.zeros(1, dtype=np.uint32)]
-    cum_val = 0
     try:
         file_size = data_path.stat().st_size
     except OSError:  # pragma: no cover - racing deletion
@@ -353,18 +358,15 @@ def _verified_resume_point(
             blob = fh.read((done - verified) * record_size)
             if len(blob) != (done - verified) * record_size:
                 break  # pragma: no cover - size raced below stat
-            cum = compute_cum_crcs(blob, record_size, initial=cum_val)
-            if int(cum[-1]) != int(group["cum_crc"]):
+            group_crcs, group_cum = compute_crc_tables(
+                blob, record_size, int(cum[verified])
+            )
+            if int(group_cum[-1]) != int(group["cum_crc"]):
                 break
-            crcs_parts.append(compute_record_crcs(blob, record_size))
-            cum_parts.append(cum[1:].astype(np.uint32))
-            cum_val = int(cum[-1])
+            crcs[verified:done] = group_crcs
+            cum[verified + 1 : done + 1] = group_cum[1:]
             verified = done
-    return (
-        verified,
-        np.concatenate(crcs_parts) if crcs_parts else np.empty(0, dtype=np.uint32),
-        np.concatenate(cum_parts),
-    )
+    return verified
 
 
 def _clear_stale_build(directory: Path) -> None:
@@ -439,17 +441,10 @@ def build_persistent_dataset(
         writes).  The wrapper must pass through ``allocate`` / ``write``
         / ``fsync`` / ``close``.
     """
-    from repro.core.builder import (
-        WRITE_CHUNK_RECORDS,
-        _make_meta,
-        _make_report,
-    )
-    from repro.core.compact_tree import CompactIntervalTree
     from repro.core.intervals import IntervalSet
     from repro.core.journal import BuildJournal
     from repro.grid.metacell import partition_metacells
     from repro.io.faults import NULL_CRASH_SCHEDULE
-    from repro.io.layout import compute_cum_crcs, compute_record_crcs
 
     crash = crash if crash is not None else NULL_CRASH_SCHEDULE
     group = int(group_records or WRITE_CHUNK_RECORDS)
@@ -492,8 +487,7 @@ def build_persistent_dataset(
 
     verified = 0
     crcs = np.empty(n, dtype=np.uint32)
-    cum = np.empty(n + 1, dtype=np.uint32)
-    cum[0] = 0
+    cum = np.zeros(n + 1, dtype=np.uint32)
     journal = BuildJournal(directory)
     skip_record_writes = False
 
@@ -509,19 +503,13 @@ def build_persistent_dataset(
             # commit.  The journal must account for every record; then
             # the store is complete and only index/meta publication is
             # left to redo.
-            v, rcrcs, rcum = _verified_resume_point(bricks, state, rec)
-            if v == n:
-                verified = n
-                crcs[:] = rcrcs
-                cum[:] = rcum
+            verified = _verified_resume_point(bricks, state, rec, crcs, cum)
+            if verified == n:
                 skip_record_writes = True
             else:
                 resumable = False
         elif resumable and partial.exists():
-            v, rcrcs, rcum = _verified_resume_point(partial, state, rec)
-            verified = v
-            crcs[:v] = rcrcs
-            cum[: v + 1] = rcum
+            verified = _verified_resume_point(partial, state, rec, crcs, cum)
         elif resumable:
             # Journal began but no store survived: start records over
             # while keeping the (matching) journal history appendable.
@@ -530,7 +518,6 @@ def build_persistent_dataset(
             _clear_stale_build(directory)
             state = None
             verified = 0
-            cum[0] = 0
     elif state is None and not committed:
         # No journal: any bricks/partial here are of unknown provenance.
         _clear_stale_build(directory)
@@ -553,11 +540,8 @@ def build_persistent_dataset(
             e = min(s + group, n)
             if e <= verified:
                 continue
-            values = partition.extract_values(ids[s:e])
-            blob = codec.encode(ids[s:e], vmins[s:e], values)
+            blob = encode_group(codec, partition, ids, vmins, crcs, cum, s, e)
             device.write(s * rec, blob)
-            crcs[s:e] = compute_record_crcs(blob, rec)
-            cum[s + 1 : e + 1] = compute_cum_crcs(blob, rec, initial=int(cum[s]))[1:]
             crash.point(f"group_written:{g}")
             device.fsync()
             crash.point(f"group_flushed:{g}")
@@ -591,8 +575,10 @@ def build_persistent_dataset(
         device=final_device,
         codec=codec,
         base_offset=0,
-        meta=_make_meta(volume, partition),
-        report=_make_report(partition, intervals, tree, codec),
+        meta=_make_meta(volume, partition.grid_shape, partition.metacell_shape),
+        report=_make_report(
+            partition.n_metacells, volume.nbytes, intervals, tree, codec
+        ),
         checksums=BrickChecksums.from_record_crcs(
             crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
         ),

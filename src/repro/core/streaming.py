@@ -32,16 +32,22 @@ from typing import Callable, Iterator, Protocol
 import numpy as np
 
 from repro.core.builder import (
-    DatasetMeta,
+    WRITE_CHUNK_RECORDS,
     IndexedDataset,
-    PreprocessReport,
+    _make_meta,
+    _make_report,
 )
 from repro.core.compact_tree import CompactIntervalTree
 from repro.core.intervals import IntervalSet
 from repro.grid.metacell import metacell_grid_shape
 from repro.io.blockdevice import SimulatedBlockDevice
 from repro.io.cost_model import IOCostModel
-from repro.io.layout import MetacellCodec
+from repro.io.layout import (
+    BrickChecksums,
+    MetacellCodec,
+    compute_crc_tables,
+    compute_record_crcs,
+)
 
 
 class SlabSource(Protocol):
@@ -194,7 +200,9 @@ def build_indexed_dataset_streaming(
     codec = MetacellCodec(metacell_shape, source.dtype)
     if device is None:
         device = SimulatedBlockDevice(cost_model or IOCostModel())
-    base = device.allocate(tree.n_records * codec.record_size)
+    n, rec = tree.n_records, codec.record_size
+    base = device.allocate(n * rec)
+    crcs = np.empty(n, dtype=np.uint32)
 
     # Layout position of each metacell id (for pass-2 scatter writes).
     position_of_id = np.full(n_total, -1, dtype=np.int64)
@@ -227,30 +235,25 @@ def build_indexed_dataset_streaming(
                 vmin[live_ids[s_run:e_run]],
                 values[s_run:e_run],
             )
-            device.write(
-                base + int(live_pos[s_run]) * codec.record_size, blob
-            )
+            p_run = int(live_pos[s_run])
+            device.write(base + p_run * rec, blob)
+            crcs[p_run : p_run + (e_run - s_run)] = compute_record_crcs(blob, rec)
 
-    report = PreprocessReport(
-        n_metacells_total=n_total,
-        n_metacells_culled=n_total - len(intervals),
-        n_metacells_stored=len(intervals),
-        original_bytes=int(np.prod(source.shape)) * np.dtype(source.dtype).itemsize,
-        stored_bytes=len(intervals) * codec.record_size,
-        index_bytes=tree.index_size_bytes(),
-        n_distinct_endpoints=len(tree.endpoints),
-        n_bricks=tree.n_bricks,
-        tree_height=tree.height(),
-    )
-    meta = DatasetMeta(
-        grid_shape=grid,
-        metacell_shape=tuple(metacell_shape),
-        volume_shape=source.shape,
-        spacing=source.spacing,
-        origin=source.origin,
-        name=source.name,
-    )
+    # Record CRCs came from the bytes as written; records landed out of
+    # layout order, so the stream CRC takes one sequential (unmetered)
+    # read-back of the finished store.
+    cum = np.zeros(n + 1, dtype=np.uint32)
+    for s in range(0, n, WRITE_CHUNK_RECORDS):
+        e = min(s + WRITE_CHUNK_RECORDS, n)
+        chunk = device.peek(base + s * rec, (e - s) * rec)
+        cum[s + 1 : e + 1] = compute_crc_tables(chunk, rec, int(cum[s]))[1][1:]
+
+    original_bytes = int(np.prod(source.shape)) * np.dtype(source.dtype).itemsize
     return IndexedDataset(
         tree=tree, device=device, codec=codec, base_offset=base,
-        meta=meta, report=report,
+        meta=_make_meta(source, grid, metacell_shape),
+        report=_make_report(n_total, original_bytes, intervals, tree, codec),
+        checksums=BrickChecksums.from_record_crcs(
+            crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
+        ),
     )

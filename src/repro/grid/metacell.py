@@ -119,24 +119,40 @@ class MetacellPartition:
         This is the copy that the preprocessing step serializes; queries
         never call it — they read payloads back from disk.
         """
-        view = self._strided_view()
-        ijk = self.id_to_ijk(ids)
-        vals = view[ijk[:, 0], ijk[:, 1], ijk[:, 2]]
-        n = len(ids)
-        return vals.reshape(n, -1)
-
-    def _strided_view(self) -> np.ndarray:
-        """Zero-copy ``(gx, gy, gz, m0, m1, m2)`` overlapping-window view."""
         d = self._padded
         m0, m1, m2 = self.metacell_shape
-        gx, gy, gz = self.grid_shape
         s0, s1, s2 = d.strides
-        return as_strided(
+        # Zero-copy (gx, gy, gz, m0, m1, m2) overlapping-window view.
+        view = as_strided(
             d,
-            shape=(gx, gy, gz, m0, m1, m2),
+            shape=(*self.grid_shape, m0, m1, m2),
             strides=((m0 - 1) * s0, (m1 - 1) * s1, (m2 - 1) * s2, s0, s1, s2),
             writeable=False,
         )
+        ijk = self.id_to_ijk(ids)
+        return view[ijk[:, 0], ijk[:, 1], ijk[:, 2]].reshape(len(ids), -1)
+
+
+def _sweep_extrema(a, ufunc: np.ufunc, metacell_shape, grid_shape) -> np.ndarray:
+    """Reduce a padded volume to one ``ufunc`` extremum per metacell.
+
+    Separable: along each axis the ``g * (m - 1)`` body vertices reduce
+    as a ``(g, m - 1)`` reshape, then the boundary layer each metacell
+    shares with its successor (``a[m - 1 :: m - 1]``) is folded in.  The
+    outermost axis goes first, so every inner loop is a long contiguous
+    run and each pass hands the next one ``m - 1`` times less data;
+    innermost-first gains nothing over reducing overlapping windows.
+    """
+    for axis, (m, g) in enumerate(zip(metacell_shape, grid_shape)):
+        step = m - 1
+        lead = (slice(None),) * axis
+        body = a[lead + (slice(0, g * step),)]
+        out = ufunc.reduce(
+            body.reshape(a.shape[:axis] + (g, step) + a.shape[axis + 1 :]),
+            axis=axis + 1,
+        )
+        a = ufunc(out, a[lead + (slice(step, None, step),)], out=out)
+    return a.reshape(-1)
 
 
 def partition_metacells(
@@ -151,15 +167,11 @@ def partition_metacells(
         raise ValueError(f"metacell_shape must be 3D, got {metacell_shape}")
     padded = pad_for_metacells(np.ascontiguousarray(volume.data), metacell_shape)
     grid = metacell_grid_shape(volume.shape, metacell_shape)
-    part = MetacellPartition(
+    return MetacellPartition(
         volume=volume,
         metacell_shape=tuple(int(m) for m in metacell_shape),  # type: ignore[arg-type]
         grid_shape=grid,
-        vmin=np.empty(0),
-        vmax=np.empty(0),
+        vmin=_sweep_extrema(padded, np.minimum, metacell_shape, grid),
+        vmax=_sweep_extrema(padded, np.maximum, metacell_shape, grid),
         _padded=padded,
     )
-    view = part._strided_view()
-    part.vmin = view.min(axis=(3, 4, 5)).reshape(-1)
-    part.vmax = view.max(axis=(3, 4, 5)).reshape(-1)
-    return part

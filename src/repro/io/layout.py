@@ -174,14 +174,6 @@ class MetacellCodec:
         """Number of complete records in ``buf``."""
         return len(buf) // self.record_size
 
-    def record_crcs(self, blob: bytes) -> np.ndarray:
-        """CRC32 of every complete record in ``blob`` (layout order).
-
-        Trailing partial-record bytes are ignored, mirroring
-        :meth:`decode`.
-        """
-        return compute_record_crcs(blob, self.record_size)
-
     def values_grid(self, records: MetacellRecords) -> np.ndarray:
         """Reshape decoded values back to ``(n, m0, m1, m2)`` grids."""
         if self.metacell_shape is None:
@@ -281,27 +273,32 @@ def compute_record_crcs(blob, record_size: int) -> np.ndarray:
     return out
 
 
-def compute_cum_crcs(blob, record_size: int, initial: int = 0) -> np.ndarray:
-    """Cumulative CRC32 table over the record stream in ``blob``.
+def compute_crc_tables(
+    blob, record_size: int, initial: int = 0
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Per-record and cumulative CRC32 tables of ``blob`` in one loop.
 
-    ``out[p]`` is the CRC32 of records ``[0, p)`` continued from
-    ``initial`` (the running CRC of everything before ``blob``), so the
-    whole table for a chunked layout write is built by threading
-    ``out[-1]`` into the next chunk's ``initial``.  The table turns span
-    verification into a single C call: the bytes of records ``[a, b)``
-    are intact iff ``zlib.crc32(span, out[a]) == out[b]``.
+    Returns ``(record_crcs, cum)``.  ``record_crcs`` equals
+    :func:`compute_record_crcs`; ``cum[p]`` is the CRC32 of records
+    ``[0, p)`` continued from ``initial`` (the running CRC of everything
+    before ``blob``), so the table of a chunked layout write is built by
+    threading ``cum[-1]`` into the next chunk's ``initial``.  It turns
+    span verification into a single C call: the bytes of records
+    ``[a, b)`` are intact iff ``zlib.crc32(span, cum[a]) == cum[b]``.
+    The layout write needs both tables for every record it serializes,
+    so each record is sliced out once and hashed twice while in cache.
     """
     if record_size < 1:
         raise ValueError(f"record_size must be >= 1, got {record_size}")
     view = memoryview(blob)
-    n = len(view) // record_size
-    out = np.empty(n + 1, dtype=np.uint32)
     c = initial & 0xFFFFFFFF
-    out[0] = c
-    for p in range(n):
-        c = zlib.crc32(view[p * record_size : (p + 1) * record_size], c)
-        out[p + 1] = c
-    return out
+    crcs, cum = [], [c]
+    for lo in range(0, len(view) - record_size + 1, record_size):
+        record = view[lo : lo + record_size]
+        crcs.append(zlib.crc32(record))
+        c = zlib.crc32(record, c)
+        cum.append(c)
+    return np.array(crcs, dtype=np.uint32), np.array(cum, dtype=np.uint32)
 
 
 @dataclass

@@ -1,5 +1,7 @@
 """Tests for the preprocessing pipeline (builder)."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,13 @@ from repro.core.builder import (
     DatasetMeta,
     build_indexed_dataset,
     build_striped_datasets,
+    encode_group,
 )
 from repro.core.query import execute_query
 from repro.grid.datasets import sphere_field
 from repro.grid.rm_instability import rm_timestep
 from repro.io.diskfile import FileBackedDevice
+from repro.io.layout import MetacellCodec, compute_crc_tables, compute_record_crcs
 
 
 class TestSerialBuild:
@@ -121,3 +125,70 @@ class TestDatasetMeta:
         )
         origins = meta.vertex_origins(np.array([7]))  # ijk = (1,1,1)
         assert np.array_equal(origins[0], [4, 4, 4])
+
+
+def compute_cum_crcs(blob, record_size, initial=0):
+    """The cumulative-table loop ``compute_crc_tables`` absorbed, kept
+    verbatim as its oracle."""
+    view = memoryview(blob)
+    n = len(view) // record_size
+    out = np.empty(n + 1, dtype=np.uint32)
+    c = initial & 0xFFFFFFFF
+    out[0] = c
+    for p in range(n):
+        c = zlib.crc32(view[p * record_size : (p + 1) * record_size], c)
+        out[p + 1] = c
+    return out
+
+
+class TestGroupRoutine:
+    """The fused gather -> encode -> checksum routine of every layout
+    write, against the two single-table loops it replaced there."""
+
+    @pytest.mark.parametrize("record_size", [1, 9, 130, 734])
+    @pytest.mark.parametrize("n", [0, 1, 2, 57])
+    def test_crc_tables_equal_the_two_single_table_passes(self, record_size, n):
+        rng = np.random.default_rng(record_size * 100 + n)
+        # Three trailing bytes of a partial record are ignored, as in decode.
+        blob = rng.integers(0, 256, record_size * n + min(3, record_size - 1),
+                            dtype=np.uint8).tobytes()
+        for initial in (0, 0xDEADBEEF):
+            crcs, cum = compute_crc_tables(blob, record_size, initial)
+            assert crcs.dtype == cum.dtype == np.uint32
+            assert np.array_equal(crcs, compute_record_crcs(blob, record_size))
+            assert np.array_equal(cum, compute_cum_crcs(blob, record_size, initial))
+
+    def test_crc_tables_thread_through_chunk_boundaries(self):
+        rec, n = 13, 40
+        blob = np.random.default_rng(3).integers(0, 256, rec * n, dtype=np.uint8).tobytes()
+        whole_crcs, whole_cum = compute_crc_tables(blob, rec)
+        crcs, cum, running = [], [np.zeros(1, dtype=np.uint32)], 0
+        for lo, hi in [(0, 7), (7, 7), (7, 8), (8, 40)]:  # empty + one-record chunks
+            c, k = compute_crc_tables(blob[lo * rec : hi * rec], rec, running)
+            assert len(c) == hi - lo and k[0] == running
+            crcs.append(c)
+            cum.append(k[1:])
+            running = int(k[-1])
+        assert np.array_equal(np.concatenate(crcs), whole_crcs)
+        assert np.array_equal(np.concatenate(cum), whole_cum)
+
+    def test_crc_tables_reject_bad_record_size(self):
+        with pytest.raises(ValueError, match="record_size"):
+            compute_crc_tables(b"abcd", 0)
+
+    @pytest.mark.parametrize("bounds", [[0, 40], [0, 1, 17, 40]])
+    def test_encode_group_writes_the_builders_bytes_and_tables(
+        self, sphere_partition, sphere_dataset, bounds
+    ):
+        ds = sphere_dataset
+        ids, vmins = ds.tree.record_ids[:40], ds.tree.record_vmins[:40]
+        codec = MetacellCodec(sphere_partition.metacell_shape, ds.codec.scalar_dtype)
+        crcs = np.empty(40, dtype=np.uint32)
+        cum = np.zeros(41, dtype=np.uint32)
+        blob = b"".join(
+            encode_group(codec, sphere_partition, ids, vmins, crcs, cum, s, e)
+            for s, e in zip(bounds, bounds[1:])
+        )
+        assert blob == ds.device.read(ds.base_offset, 40 * codec.record_size)
+        assert np.array_equal(crcs, ds.checksums.record_crcs[:40])
+        assert np.array_equal(cum, ds.checksums.cum_crcs[:41])

@@ -1,5 +1,5 @@
-"""Design-budget ratchet for the extraction data path and the rasterizer
-(AST walk, no imports of the code under test).
+"""Design-budget ratchet for the extraction data path, the rasterizer and
+the preprocessing scan pass (AST walk, no imports of the code under test).
 
 Two budgets, both of which the pre-refactor code blew
 (``SimulatedCluster.extract`` had 433 body lines and a ``**legacy_kwargs``
@@ -27,6 +27,8 @@ DATA_PATH_MODULES = (
     "parallel/mp_backend.py",
     "pipeline.py",
     "render/rasterizer.py",
+    "grid/metacell.py",
+    "core/builder.py",
 )
 
 #: module -> qualified names that must not grow a ``**`` parameter.

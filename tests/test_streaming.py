@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.builder import build_indexed_dataset
-from repro.core.query import execute_query
+from repro.core.query import QueryOptions, execute_query
 from repro.core.streaming import (
     FunctionSlabSource,
     VolumeSlabSource,
@@ -67,6 +67,12 @@ class TestEquivalence:
             stream.base_offset, stream.n_records * stream.codec.record_size
         )
         assert a == b
+        # ... and identical checksum tables, so streamed stores are
+        # CRC-verified on every query like any other build.
+        for table in ("record_crcs", "brick_crcs", "cum_crcs"):
+            assert np.array_equal(
+                getattr(stream.checksums, table), getattr(mem.checksums, table)
+            ), table
 
     def test_queries_match(self):
         vol = sphere_field((25, 25, 25))
@@ -74,7 +80,8 @@ class TestEquivalence:
         stream = build_indexed_dataset_streaming(VolumeSlabSource(vol), (5, 5, 5))
         for lam in (0.3, 0.7, 1.2):
             ra = execute_query(mem, lam)
-            rb = execute_query(stream, lam)
+            # verify_checksums=True raises on a store without CRC tables.
+            rb = execute_query(stream, lam, QueryOptions(verify_checksums=True))
             assert np.array_equal(np.sort(ra.records.ids), np.sort(rb.records.ids))
             assert np.array_equal(
                 ra.records.values[np.argsort(ra.records.ids)],

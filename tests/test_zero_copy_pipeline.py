@@ -27,7 +27,7 @@ from repro.io.layout import (
     VECTOR_CRC_MAX_RECORD_SIZE,
     VECTOR_CRC_MIN_RECORDS,
     _vectorized_record_crcs,
-    compute_cum_crcs,
+    compute_crc_tables,
     compute_record_crcs,
 )
 from repro.mc.marching_cubes import marching_cubes_batch
@@ -142,11 +142,11 @@ def test_cum_crcs_chain_and_verify_span():
     rec, n = 9, 200
     rng = np.random.default_rng(42)
     blob = rng.integers(0, 256, size=rec * n, dtype=np.uint8).tobytes()
-    cum = compute_cum_crcs(blob, rec)
+    _, cum = compute_crc_tables(blob, rec)
     assert cum[0] == 0 and len(cum) == n + 1
     # Chained build from two halves equals the one-shot table.
     half = (n // 2) * rec
-    c2 = compute_cum_crcs(blob[half:], rec, initial=int(cum[n // 2]))
+    _, c2 = compute_crc_tables(blob[half:], rec, initial=int(cum[n // 2]))
     assert np.array_equal(cum[n // 2 :], c2)
     # Span [a, b) verifies with one zlib call.
     for a, b in [(0, n), (3, 17), (n - 1, n), (5, 5)]:
