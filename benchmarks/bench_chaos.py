@@ -10,7 +10,7 @@ oracle catalog.  The soak asserts:
 * **zero oracle violations** across every trial — bit-identity of
   ``ok`` results, exactly-one terminal state, no stale cache entries
   across epoch bumps, the load-balance bound after every rebalance,
-  coverage-accounting identity, no leaked shm segments;
+  coverage-accounting identity;
 * **chaos actually happened** — the trials collectively killed nodes,
   aborted migrations across partitions, dropped/duplicated/reordered
   messages (the soak is vacuous if the schedules are no-ops);

@@ -29,8 +29,6 @@ documents in ``docs/robustness.md``):
 ``coverage``
     Coverage accounting is consistent with the terminal state:
     ``ok`` ⇒ full coverage, ``shed`` ⇒ zero, everything in ``[0, 1]``.
-``no-shm-leaks``
-    No orphaned shared-memory segments survive the trial.
 
 Test-only oracles may be registered (and must be unregistered) via
 :func:`register_oracle` / :func:`unregister_oracle` — the planted-bug
@@ -238,16 +236,3 @@ def _coverage(ctx) -> "list[Violation]":
                 request_id=r.request_id,
             ))
     return out
-
-
-@register_oracle("no-shm-leaks")
-def _no_shm_leaks(ctx) -> "list[Violation]":
-    from repro.parallel.pipeline import purge_orphan_segments
-
-    leaked = purge_orphan_segments()
-    if leaked:
-        return [Violation(
-            "no-shm-leaks",
-            f"{len(leaked)} orphan shm segment(s) leaked: {leaked[:4]}",
-        )]
-    return []

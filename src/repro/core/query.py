@@ -91,23 +91,6 @@ class QueryOptions:
     track:
         Trace track label for this query's spans (None: inherit the
         tracer's active track — the cluster sets one per node).
-    coalesce_gap_blocks:
-        Read-coalescing threshold: adjacent plan runs whose extents are
-        separated by at most this many blocks are fetched as one large
-        device access, with the *meter charged exactly the per-run
-        sequence the uncoalesced reads would have issued* — modeled
-        block counts, seeks, and deadline cut points are bit-identical;
-        only wall-clock time improves.  ``0`` (default) disables
-        coalescing.  Requires a device exposing ``peek``/``charge_read``
-        (the raw simulated/file devices); fault-injecting, hedging, and
-        caching wrappers fall back to plain per-run reads.
-    pipeline:
-        A :class:`repro.parallel.pipeline.PipelineOptions` selecting the
-        stage-overlapped shared-memory executor for the triangulation
-        stage.  Not interpreted by the query executor itself — the
-        node stage (:func:`repro.parallel.node.extract_node`) reads it
-        and feeds decoded batches to MC workers through shared memory.
-        ``None`` (default) triangulates inline.
     result_cache:
         A live, epoch-fenced
         :class:`~repro.serve.rcache.ResultCacheView` (duck-typed; this
@@ -115,11 +98,7 @@ class QueryOptions:
         cached decoded record prefixes at their anchors and only the
         uncovered tail is read from the device — results are
         bit-identical to the cold path because cache entries *are* prior
-        verified cold reads.  Enabling it disables the coalesced
-        fast-read path (the serial path is the one that can serve
-        partial extents from memory; both paths are modeled-identical by
-        construction, so nothing is lost).  ``None`` (default) runs
-        uncached.
+        verified cold reads.  ``None`` (default) runs uncached.
     """
 
     read_ahead_blocks: int = DEFAULT_READ_AHEAD_BLOCKS
@@ -129,29 +108,21 @@ class QueryOptions:
     tracer: "object | None" = None
     metrics: "object | None" = None
     track: "str | None" = None
-    coalesce_gap_blocks: int = 0
-    pipeline: "object | None" = None
     result_cache: "object | None" = None
     #: Extraction-kernel backend name, resolved through
-    #: :mod:`repro.mc.backends` by the triangulating layer (pipeline,
+    #: :mod:`repro.mc.backends` by the triangulating layer (façade,
     #: cluster node, serving front-end).  ``"mc-batch"`` is the exact
     #: default; ``"surface-nets"`` trades exact-MC geometry for ~2x
     #: throughput.  Validated against the registry at construction.
     backend: str = "mc-batch"
     #: Metacells per vectorized triangulation pass (``None``: the
     #: kernel's :data:`~repro.mc.marching_cubes.DEFAULT_BATCH_CHUNK`).
-    #: Also the serial-chunk unit the shared-memory pipeline cuts jobs
-    #: on; the default preserves the 512-chunk bit-identity contract.
     batch_chunk: "int | None" = None
 
     def __post_init__(self) -> None:
         if self.read_ahead_blocks < 1:
             raise ValueError(
                 f"read_ahead_blocks must be >= 1, got {self.read_ahead_blocks}"
-            )
-        if self.coalesce_gap_blocks < 0:
-            raise ValueError(
-                f"coalesce_gap_blocks must be >= 0, got {self.coalesce_gap_blocks}"
             )
         if self.time_budget is not None and self.time_budget != self.time_budget:
             raise ValueError("time_budget must not be NaN")
@@ -448,39 +419,17 @@ def execute_plan(
         dataset, float(lam), read_ahead_blocks, policy, checks, clock, tracer,
         opts.track, rcache=opts.result_cache,
     )
-    # The coalescer needs the raw-device escape hatch; wrapped devices
-    # (faults, hedging, caching) define their behavior per read call and
-    # deliberately do not expose it — they take the plain per-run path.
-    # A live result cache also forces the serial path: it serves covered
-    # prefixes from memory, which the whole-extent peek cannot express
-    # (the two paths are modeled-identical, so only wall time is traded).
-    use_fast = (
-        opts.coalesce_gap_blocks > 0
-        and opts.result_cache is None
-        and hasattr(device, "peek")
-        and hasattr(device, "charge_read")
-    )
-    groups = (
-        _coalesce_runs(plan.runs, dataset, opts.coalesce_gap_blocks)
-        if use_fast
-        else [[r] for r in plan.runs]
-    )
-
     qspan = tracer.span(
         "query.execute", track=opts.track, category="query",
-        args={"lam": float(lam), "runs": len(plan.runs),
-              "coalesced_groups": sum(1 for g in groups if len(g) > 1)},
+        args={"lam": float(lam), "runs": len(plan.runs)},
     )
     runner.qspan = qspan
     try:
-        for group in groups:
-            if len(group) > 1 and runner.run_group_fast(group):
-                continue
-            for run in group:
-                if clock.expired():
-                    runner.skip(run)
-                    continue
-                runner.run_serial(run)
+        for run in plan.runs:
+            if clock.expired():
+                runner.skip(run)
+            else:
+                runner.run(run)
     finally:
         qspan.close()
 
@@ -506,58 +455,14 @@ def execute_plan(
     return result
 
 
-def _run_byte_extent(dataset: IndexedDataset, run) -> "tuple[int, int]":
-    """Device byte range ``[start, end)`` a plan run may touch (a prefix
-    scan is bounded by its ``max_count`` even though it usually stops
-    early)."""
-    rec = dataset.codec.record_size
-    start = dataset.record_offset(run.start)
-    count = run.count if isinstance(run, SequentialRun) else run.max_count
-    return start, start + count * rec
-
-
-def _coalesce_runs(runs, dataset: IndexedDataset, gap_blocks: int) -> "list[list]":
-    """Group plan runs whose extents are within ``gap_blocks`` blocks of
-    each other (in plan order) for single-access fetching.
-
-    Only the *data movement* is merged — the meter is charged per run by
-    the replay in :meth:`_PlanRunner.run_group_fast`, so grouping never
-    changes modeled cost.
-    """
-    max_gap = gap_blocks * dataset.device.cost_model.block_size
-    groups: "list[list]" = []
-    cur: "list" = []
-    cur_end = 0
-    for run in runs:
-        s, e = _run_byte_extent(dataset, run)
-        if cur and 0 <= s - cur_end <= max_gap:
-            cur.append(run)
-            cur_end = max(cur_end, e)
-        else:
-            if cur:
-                groups.append(cur)
-            cur = [run]
-            cur_end = e
-    if cur:
-        groups.append(cur)
-    return groups
-
-
 class _PlanRunner:
     """Mutable execution state for one :func:`execute_plan` call.
 
-    Owns the decoded batches and skip accounting, and implements the two
-    read strategies over them:
-
-    * :meth:`run_serial` — the per-run incremental path (one metered
-      device read per chunk), used for singleton groups and whenever the
-      fast path bows out;
-    * :meth:`run_group_fast` — one unmetered ``peek`` of a coalesced
-      extent followed by an *exact replay* of the serial charge
-      sequence (same chunk boundaries, same early-stop decisions, same
-      deadline checks against the same modeled clock), so ``IOStats``
-      and deadline cut points are bit-identical to the serial path by
-      construction.
+    Owns the decoded batches and skip accounting, and implements the one
+    read strategy over them: :meth:`run` reads a plan run incrementally,
+    one metered device read per chunk, so every device stack (faults,
+    hedging, block cache), the result-cache prefix path, CRC repairs and
+    deadline cuts see the same sequence of reads.
     """
 
     def __init__(self, dataset, lam, read_ahead_blocks, policy, checks, clock,
@@ -589,13 +494,11 @@ class _PlanRunner:
             {"records": n, "reason": "time budget expired"},
         )
 
-    # -- serial path -------------------------------------------------------
-
-    def run_serial(self, run) -> None:
+    def run(self, run) -> None:
         if isinstance(run, SequentialRun):
-            self._serial_sequential(run)
+            self._sequential(run)
         elif isinstance(run, BrickPrefixScan):
-            self._serial_prefix_scan(run)
+            self._prefix_scan(run)
         else:  # pragma: no cover - future run types
             raise TypeError(f"unknown run type {type(run).__name__}")
 
@@ -620,7 +523,7 @@ class _PlanRunner:
             self.dataset.node_rank, anchor, MetacellRecords.concat(parts)
         )
 
-    def _serial_sequential(self, run) -> None:
+    def _sequential(self, run) -> None:
         dataset, tracer, clock = self.dataset, self.tracer, self.clock
         cached = self._cached_prefix(run.start)
         k = min(len(cached), run.count) if cached is not None else 0
@@ -660,7 +563,7 @@ class _PlanRunner:
                  "reason": "time budget expired"},
             )
 
-    def _serial_prefix_scan(self, run) -> None:
+    def _prefix_scan(self, run) -> None:
         dataset, tracer, clock = self.dataset, self.tracer, self.clock
         cached = self._cached_prefix(run.start)
         # Clamp to the brick: a Case-1 entry at the same anchor may span
@@ -712,166 +615,6 @@ class _PlanRunner:
                 "query.brick_cut",
                 {"brick": run.brick_id,
                  "records_left": run.max_count - m - decoded,
-                 "reason": "time budget expired"},
-            )
-
-    # -- coalesced fast path -----------------------------------------------
-
-    def run_group_fast(self, group) -> bool:
-        """Fetch a whole group in one access and replay per-run charges.
-
-        Returns False (having charged *nothing*) when the group cannot
-        be served bit-identically — no cumulative checksum table to
-        pre-verify against, or a span that fails verification and needs
-        the serial path's repair accounting.  The caller then executes
-        the group serially.
-        """
-        dataset = self.dataset
-        device = dataset.device
-        rec = dataset.codec.record_size
-        g_start = _run_byte_extent(dataset, group[0])[0]
-        g_end = max(_run_byte_extent(dataset, r)[1] for r in group)
-        view = device.peek(g_start, g_end - g_start)
-        try:
-            if self.checks is not None:
-                for run in group:
-                    s, e = _run_byte_extent(dataset, run)
-                    ok = self.checks.verify_span(
-                        run.start, view[s - g_start : e - g_start], rec
-                    )
-                    if not ok:  # False (corrupt) or None (no cum table)
-                        return False
-            self.tracer.instant(
-                "read.coalesced", category="io",
-                args={"runs": len(group), "bytes": g_end - g_start},
-            )
-            for run in group:
-                if self.clock.expired():
-                    self.skip(run)
-                    continue
-                if isinstance(run, SequentialRun):
-                    self._fast_sequential(run, view, g_start)
-                elif isinstance(run, BrickPrefixScan):
-                    self._fast_prefix_scan(run, view, g_start)
-                else:  # pragma: no cover - future run types
-                    raise TypeError(f"unknown run type {type(run).__name__}")
-            return True
-        finally:
-            view.release()
-
-    def _charge_chunks(self, start: int, length: int, chunk_blocks: int,
-                       stop_after):
-        """Replay the serial chunk-charge sequence for one extent.
-
-        ``stop_after(n_decoded)`` is consulted exactly where the serial
-        consumer loop would run (after each chunk that completes at
-        least one record, except the final one); returning True stops
-        before the next chunk is charged.  Returns total records whose
-        bytes were charged.
-        """
-        device = self.dataset.device
-        bs = device.cost_model.block_size
-        rec = self.dataset.codec.record_size
-        end = start + length
-        pos = start
-        charged = 0
-        decoded = 0
-        while pos < end:
-            boundary = ((pos // bs) + chunk_blocks) * bs
-            stop = min(boundary, end)
-            device.charge_read(pos, stop - pos)
-            charged += stop - pos
-            pos = stop
-            n_new = charged // rec - decoded
-            if not n_new:
-                continue
-            decoded += n_new
-            if pos < end and stop_after(decoded):
-                break
-        return decoded
-
-    def _fast_sequential(self, run, view, g_base) -> None:
-        dataset = self.dataset
-        rec = dataset.codec.record_size
-        start = dataset.record_offset(run.start)
-        with self.tracer.io_span(
-            "read.sequential_run", dataset.device, track=self.track,
-            args={"start": run.start, "count": run.count, "coalesced": True},
-        ):
-            decoded = self._charge_chunks(
-                start, run.count * rec, MAX_SEQUENTIAL_CHUNK_BLOCKS,
-                lambda _n: self.clock.expired(),
-            )
-        if decoded:
-            off = start - g_base
-            self.batches.append(
-                dataset.codec.decode(view[off : off + decoded * rec])
-            )
-            self.n_read += decoded
-        if decoded < run.count:
-            self.skipped_runs.append(run)
-            self.n_skipped += run.count - decoded
-            self.qspan.annotate(
-                "query.run_cut",
-                {"records_left": run.count - decoded,
-                 "reason": "time budget expired"},
-            )
-
-    def _fast_prefix_scan(self, run, view, g_base) -> None:
-        dataset = self.dataset
-        rec = dataset.codec.record_size
-        start = dataset.record_offset(run.start)
-        off = start - g_base
-        length = run.max_count * rec
-        vmins = dataset.codec.decode_vmins(view[off : off + length])
-        state = {"stop_at": None, "aborted": False, "seen": 0}
-
-        def stop_after(decoded: int) -> bool:
-            # Mirror of _scan_brick_prefix: first look for the
-            # terminator record in the newly decoded span, then (only if
-            # the brick might continue) consult the clock.
-            over = np.flatnonzero(
-                vmins[state["seen"] : decoded].astype(np.float64) > self.lam
-            )
-            if len(over):
-                state["stop_at"] = state["seen"] + int(over[0])
-                state["seen"] = decoded
-                return True
-            state["seen"] = decoded
-            if decoded < run.max_count and self.clock.expired():
-                state["aborted"] = True
-                return True
-            return False
-
-        with self.tracer.io_span(
-            "read.brick_prefix", dataset.device, track=self.track,
-            args={"brick": run.brick_id, "max_count": run.max_count,
-                  "coalesced": True},
-        ):
-            decoded = self._charge_chunks(
-                start, length, self.read_ahead_blocks, stop_after
-            )
-        # The final chunk never consults stop_after; scan it for the
-        # terminator the way the serial consumer does.
-        if state["stop_at"] is None and state["seen"] < decoded:
-            over = np.flatnonzero(
-                vmins[state["seen"] : decoded].astype(np.float64) > self.lam
-            )
-            if len(over):
-                state["stop_at"] = state["seen"] + int(over[0])
-        n_active = state["stop_at"] if state["stop_at"] is not None else decoded
-        self.n_read += decoded
-        if n_active:
-            self.batches.append(
-                dataset.codec.decode(view[off : off + n_active * rec])
-            )
-        if state["aborted"]:
-            self.skipped_runs.append(run)
-            self.n_skipped += run.max_count - decoded
-            self.qspan.annotate(
-                "query.brick_cut",
-                {"brick": run.brick_id,
-                 "records_left": run.max_count - decoded,
                  "reason": "time budget expired"},
             )
 

@@ -227,18 +227,11 @@ class SimulatedBlockDevice:
     def peek(self, offset: int, nbytes: int) -> memoryview:
         """Zero-copy, *unmetered* read-only view of ``[offset, offset+nbytes)``.
 
-        The escape hatch the read coalescer is built on: a caller may
-        fetch one large extent without charging the meter, then replay
-        the exact charge sequence the uncoalesced reads would have
-        issued via :meth:`charge_read`.  Splitting data movement from
-        accounting this way keeps the modeled clock bit-identical while
-        the wall clock sees one large transfer.
-
-        Only the raw devices expose ``peek``; fault-injecting, hedging,
-        and caching wrappers deliberately do not (their per-read
-        behavior — fault-plan RNG draws, hedge timing, cache hits — is
-        defined per read call, so coalescing around them would change
-        semantics).  Callers must feature-test with ``hasattr``.
+        A maintenance read: the build paths use it to checksum bytes
+        they have just written (:mod:`repro.core.persistence` resume
+        re-verification, :mod:`repro.core.streaming`) without charging a
+        query's meter.  Query execution never calls it — every query
+        read is a metered :meth:`read`.  Only the raw devices define it.
         """
         end = offset + nbytes
         if offset < 0 or nbytes < 0 or end > len(self._buf):
@@ -246,20 +239,6 @@ class SimulatedBlockDevice:
                 f"peek [{offset}, {end}) outside allocated region of {len(self._buf)} bytes"
             )
         return memoryview(self._buf)[offset:end].toreadonly()
-
-    def charge_read(self, offset: int, nbytes: int) -> None:
-        """Meter a read of ``[offset, offset+nbytes)`` without moving data.
-
-        Companion to :meth:`peek`: charges blocks, bytes, seeks, and the
-        sequential-head position exactly as :meth:`read` would.
-        """
-        end = offset + nbytes
-        if offset < 0 or nbytes < 0 or end > len(self._buf):
-            raise ValueError(
-                f"charge_read [{offset}, {end}) outside allocated region of "
-                f"{len(self._buf)} bytes"
-            )
-        self._meter.record_read(offset, nbytes)
 
     def truncate(self, nbytes: int) -> None:
         """Shrink the device to ``nbytes``, discarding the tail.

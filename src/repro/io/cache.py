@@ -193,12 +193,6 @@ class CachedDevice:
         lo = offset - first * bs
         return blob[lo : lo + nbytes]
 
-    # NOTE: no ``peek``/``charge_read`` here, by design.  The cache's
-    # hit/miss accounting is defined per logical read call; letting the
-    # coalescer bypass it with one merged extent would misstate the hit
-    # rate and the backing traffic.  The query layer feature-tests for
-    # ``peek`` and falls back to plain per-run reads on wrapped devices.
-
     def reset_stats(self) -> None:
         self._meter.stats.reset()
         self._meter._next_sequential_block = -1

@@ -88,13 +88,12 @@ class FileBackedDevice:
         return data
 
     def peek(self, offset: int, nbytes: int) -> memoryview:
-        """Unmetered read of ``[offset, offset+nbytes)`` (coalescer API).
+        """Unmetered maintenance read of ``[offset, offset+nbytes)``.
 
         Same contract as
         :meth:`repro.io.blockdevice.SimulatedBlockDevice.peek`: data
         moves, the meter does not.  The file backend has no resident
-        buffer to alias, so this materializes one copy — still one
-        syscall for the whole extent instead of one per brick prefix.
+        buffer to alias, so this materializes one copy.
         """
         end = offset + nbytes
         if offset < 0 or nbytes < 0 or end > self._size:
@@ -109,17 +108,6 @@ class FileBackedDevice:
                 f"(store truncated or corrupted)"
             )
         return memoryview(data)
-
-    def charge_read(self, offset: int, nbytes: int) -> None:
-        """Meter a read without data movement (coalescer API; see
-        :meth:`repro.io.blockdevice.SimulatedBlockDevice.charge_read`)."""
-        end = offset + nbytes
-        if offset < 0 or nbytes < 0 or end > self._size:
-            raise ValueError(
-                f"charge_read [{offset}, {end}) outside allocated region of "
-                f"{self._size} bytes"
-            )
-        self._meter.record_read(offset, nbytes)
 
     def truncate(self, nbytes: int) -> None:
         """Shrink the backing file to ``nbytes`` (damage-injection API)."""

@@ -264,11 +264,9 @@ class FaultInjectingDevice:
     continuous :class:`~repro.io.blockdevice.IOStats` whether or not a
     device is wrapped.
 
-    Like every device *wrapper*, this class deliberately does not expose
-    the ``peek``/``charge_read`` coalescer API: the fault plan's RNG
-    advances once per read call, so merging reads would change which
-    reads fault.  The query layer detects the missing ``peek`` and uses
-    plain per-run reads, keeping fault sequences reproducible.
+    The fault plan's RNG advances once per read call, so fault
+    sequences are reproducible exactly because the query layer issues
+    the same per-chunk reads on every device stack.
 
     Examples
     --------

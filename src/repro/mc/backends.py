@@ -1,9 +1,9 @@
 """Pluggable extraction-kernel registry.
 
-Every extraction path in the repo — serial, coalesced, the shared-memory
-pipeline, cluster nodes, the serving front-end — resolves its
-triangulation kernel through this registry, keyed by a short backend
-name carried on :class:`repro.core.query.QueryOptions` /
+Every extraction path in the repo — the façade, cluster nodes, worker
+processes, the serving front-end — resolves its triangulation kernel
+through this registry, keyed by a short backend name carried on
+:class:`repro.core.query.QueryOptions` /
 :class:`repro.parallel.cluster.ExtractRequest` (and ``--backend`` on the
 CLI).  The paper's crack-free per-metacell triangulation property is
 what makes kernels swappable per request: each backend consumes the same
@@ -20,10 +20,7 @@ Built-in backends
 ``surface-nets``
     The sign-driven dual kernel
     (:func:`repro.mc.surface_nets.surface_nets_batch`) — same topology,
-    smoothed/decimated geometry, roughly twice the throughput.  Not
-    pipeline-capable (phase 2 is global, so the surface cannot be
-    assembled from independently-triangulated jobs); pipelined callers
-    fall back to the serial path automatically.
+    smoothed/decimated geometry, roughly twice the throughput.
 
 The registry is append-only process state; tests register throwaway
 backends and remove them with :func:`unregister_backend`.
@@ -36,13 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.mc.geometry import TriangleMesh
-from repro.mc.marching_cubes import (
-    DEFAULT_BATCH_CHUNK,
-    _extract_batch_chunks,
-    marching_cubes_batch,
-)
+from repro.mc.marching_cubes import DEFAULT_BATCH_CHUNK, marching_cubes_batch
 from repro.mc.surface_nets import surface_nets_batch
-from repro.obs.tracer import NULL_TRACER
 
 #: The backend used when a request does not name one.
 DEFAULT_BACKEND = "mc-batch"
@@ -63,26 +55,15 @@ class KernelBackend:
         (``values, iso, origins, spacing=, world_origin=, chunk=,
         with_normals=``), returning a world-placed
         :class:`~repro.mc.geometry.TriangleMesh` (or ``(mesh, normals)``).
-    extract_chunks:
-        Lattice-unit chunked kernel used by the shared-memory pipeline
-        workers, signature ``(values, iso, origins, chunk, with_normals)
-        -> (mesh, normals-or-None)``; ``None`` when the backend cannot
-        triangulate independent jobs (see ``supports_pipeline``).
     exact:
         True when the kernel reproduces serial per-cell Marching Cubes
         bit-for-bit; such backends may share cached meshes with each
         other, inexact ones get their own cache key space.
-    supports_pipeline:
-        Whether independently-triangulated metacell jobs concatenate to
-        the same surface the serial kernel produces.  When False, the
-        pipelined path silently degrades to one serial kernel call.
     """
 
     name: str
     batch: "object"
-    extract_chunks: "object | None"
     exact: bool
-    supports_pipeline: bool
 
 
 _REGISTRY: "dict[str, KernelBackend]" = {}
@@ -131,10 +112,7 @@ def triangulate_records(
     *,
     backend: str = DEFAULT_BACKEND,
     batch_chunk: "int | None" = None,
-    pipeline=None,
     with_normals: bool = False,
-    tracer=NULL_TRACER,
-    track: "str | None" = None,
 ) -> "tuple[TriangleMesh, np.ndarray | None]":
     """Decoded metacell records -> world-placed mesh (+ normals).
 
@@ -145,52 +123,26 @@ def triangulate_records(
     always yields an empty mesh.
 
     ``dataset`` supplies the payload shape (``codec``) and world
-    placement (``meta``); ``pipeline`` (a
-    :class:`repro.parallel.pipeline.PipelineOptions`) routes the batch
-    through the bit-identical shared-memory executor.  Returns
-    ``(mesh, normals)``, ``normals`` None unless ``with_normals``.
+    placement (``meta``).  Returns ``(mesh, normals)``, ``normals``
+    None unless ``with_normals``.
     """
     if not len(records):
         return TriangleMesh(), (np.empty((0, 3)) if with_normals else None)
     meta = dataset.meta
     values = dataset.codec.values_grid(records)
     origins = meta.vertex_origins(records.ids)
-    if pipeline is not None:
-        # Lazy: repro.parallel imports the cluster, which imports us.
-        from repro.parallel.pipeline import pipelined_marching_cubes
-
-        out = pipelined_marching_cubes(
-            values, lam, origins,
-            spacing=meta.spacing, world_origin=meta.origin,
-            with_normals=with_normals, options=pipeline,
-            tracer=tracer, track=track,
-            backend=backend, batch_chunk=batch_chunk,
-        )
-    else:
-        out = get_backend(backend).batch(
-            values, lam, origins,
-            spacing=meta.spacing, world_origin=meta.origin,
-            chunk=DEFAULT_BATCH_CHUNK if batch_chunk is None else batch_chunk,
-            with_normals=with_normals,
-        )
+    out = get_backend(backend).batch(
+        values, lam, origins,
+        spacing=meta.spacing, world_origin=meta.origin,
+        chunk=DEFAULT_BATCH_CHUNK if batch_chunk is None else batch_chunk,
+        with_normals=with_normals,
+    )
     return out if with_normals else (out, None)
 
 
 register_backend(
-    KernelBackend(
-        name="mc-batch",
-        batch=marching_cubes_batch,
-        extract_chunks=_extract_batch_chunks,
-        exact=True,
-        supports_pipeline=True,
-    )
+    KernelBackend(name="mc-batch", batch=marching_cubes_batch, exact=True)
 )
 register_backend(
-    KernelBackend(
-        name="surface-nets",
-        batch=surface_nets_batch,
-        extract_chunks=None,
-        exact=False,
-        supports_pipeline=False,
-    )
+    KernelBackend(name="surface-nets", batch=surface_nets_batch, exact=False)
 )

@@ -62,8 +62,7 @@ _CORNER_OFFSETS = np.array(
 
 #: Metacells triangulated per call in the batch path, bounding memory.
 #: Tunable per request via ``QueryOptions.batch_chunk`` /
-#: ``ExtractRequest.batch_chunk``; the serial bit-identity contract of
-#: the shared-memory pipeline is pinned to this default.
+#: ``ExtractRequest.batch_chunk``.
 DEFAULT_BATCH_CHUNK = 512
 
 #: Flat per-case triangle table: the (edge, edge, edge) triples of every
@@ -529,8 +528,7 @@ def marching_cubes_batch(
         Callers tune it per request via ``QueryOptions.batch_chunk``;
         the output geometry is identical for every chunk size (only
         vertex numbering, and hence the exact byte layout, follows the
-        chunk boundaries — the serial bit-identity contract of the
-        shared-memory pipeline is pinned to the default).
+        chunk boundaries).
     with_normals:
         Also return per-vertex unit normals computed from each
         metacell's *own* payload gradient — the smooth-shading input a
@@ -566,14 +564,11 @@ def _extract_batch_chunks(
 ) -> "tuple[TriangleMesh, np.ndarray | None]":
     """Chunked extraction in lattice units, before world placement.
 
-    Shared by :func:`marching_cubes_batch` and the shared-memory
-    pipeline workers (``repro.parallel.pipeline``): both cut the global
-    metacell stream on the same ``chunk`` boundaries and concatenate in
-    stream order, so a parallel run reassembles to the bit-identical
-    mesh a serial run produces.  Returns ``(mesh, normals-or-None)``
-    with vertices still in vertex-index units.  Chunk outputs are
-    accumulated as raw arrays and validated once in the final
-    :class:`TriangleMesh`, not per chunk.
+    Cuts the metacell stream on ``chunk`` boundaries and concatenates
+    in stream order.  Returns ``(mesh, normals-or-None)`` with vertices
+    still in vertex-index units.  Chunk outputs are accumulated as raw
+    arrays and validated once in the final :class:`TriangleMesh`, not
+    per chunk.
     """
     values = np.asarray(values)
     vert_parts: "list[np.ndarray]" = []

@@ -51,9 +51,7 @@ Because cells tile space (no cell is duplicated across metacells),
 phase 2 makes the output *independent of the chunk size*: the mesh is a
 function of the set of metacells in the batch alone.  Unlike MC the
 surface cannot be produced by concatenating independently-extracted
-pieces, so the kernel registry marks this backend
-``supports_pipeline=False`` and the shared-memory pipeline falls back to
-its serial path.
+pieces.
 """
 
 from __future__ import annotations

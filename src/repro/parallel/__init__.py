@@ -14,18 +14,11 @@
     Host-dispatch and static scheduling models for baseline ablations.
 ``mp_backend``
     Real ``multiprocessing`` execution of per-node work.
-``pipeline``
-    Stage-overlapped shared-memory triangulation pipeline.
 """
 
 from repro.parallel.cluster import ClusterResult, ExtractRequest, SimulatedCluster
 from repro.parallel.metrics import LoadBalance, NodeMetrics, efficiency, speedup
 from repro.parallel.mp_backend import WorkerOutput, extract_parallel_mp
-from repro.parallel.pipeline import (
-    PipelineOptions,
-    default_mp_context,
-    pipelined_marching_cubes,
-)
 from repro.parallel.perfmodel import (
     PAPER_CLUSTER,
     CPUModel,
@@ -61,7 +54,4 @@ __all__ = [
     "static_blocks",
     "extract_parallel_mp",
     "WorkerOutput",
-    "PipelineOptions",
-    "default_mp_context",
-    "pipelined_marching_cubes",
 ]

@@ -161,16 +161,6 @@ class ExtractRequest:
     #: ``IOStats``, stage times, recovery reasons, deadline coverage,
     #: and health state (None: nothing is published).
     metrics: "object | None" = None
-    #: Merge adjacent brick reads whose gap is at most this many blocks
-    #: into one physical extent per node query (see
-    #: :attr:`repro.core.query.QueryOptions.coalesce_gap_blocks`).
-    #: Modeled I/O charges are unchanged; only wall time improves.
-    coalesce_gap_blocks: int = 0
-    #: A :class:`~repro.parallel.pipeline.PipelineOptions` routing each
-    #: node's triangulation through the stage-overlapped shared-memory
-    #: executor (None: the serial kernel).  Output is bit-identical
-    #: either way.
-    pipeline: "object | None" = None
     #: Tenant this query is attributed to (the serving layer's
     #: multi-tenant accounting): carried through to
     #: :attr:`ClusterResult.tenant` and, with ``metrics`` set, published
@@ -192,8 +182,7 @@ class ExtractRequest:
     #: Inexact backends get their own result-cache key space.
     backend: str = "mc-batch"
     #: Metacells per vectorized triangulation pass (``None``: the
-    #: kernel's :data:`~repro.mc.marching_cubes.DEFAULT_BATCH_CHUNK`);
-    #: also the pipelined path's job-cutting unit.
+    #: kernel's :data:`~repro.mc.marching_cubes.DEFAULT_BATCH_CHUNK`).
     batch_chunk: "int | None" = None
 
     def __post_init__(self) -> None:
@@ -979,9 +968,7 @@ class SimulatedCluster:
             options=QueryOptions(
                 retry_policy=self.retry_policy,
                 time_budget=dl.node_budget if dl is not None else None,
-                tracer=tracer,
-                coalesce_gap_blocks=req.coalesce_gap_blocks,
-                pipeline=req.pipeline, result_cache=rview,
+                tracer=tracer, result_cache=rview,
                 backend=req.backend, batch_chunk=req.batch_chunk,
             ),
             want_normals=req.render and req.smooth,

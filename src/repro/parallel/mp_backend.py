@@ -17,6 +17,8 @@ still pickled wholesale, which is fine at example scale.
 
 from __future__ import annotations
 
+import multiprocessing
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -26,7 +28,20 @@ from repro.core.builder import IndexedDataset
 from repro.core.query import execute_query
 from repro.mc.backends import triangulate_records
 from repro.mc.geometry import TriangleMesh
-from repro.parallel.pipeline import PipelineOptions, default_mp_context
+
+
+def default_mp_context():
+    """The multiprocessing context the supervised workers start from.
+
+    ``fork`` on Linux — workers inherit the parent's address space, so
+    start-up is milliseconds and module state (tables, codecs) needs no
+    re-import.  Everywhere else (macOS, Windows) ``fork`` is unavailable
+    or unsafe, so ``spawn`` is used.
+    """
+    method = "fork" if sys.platform.startswith("linux") else "spawn"
+    if method not in multiprocessing.get_all_start_methods():  # pragma: no cover
+        method = "spawn"
+    return multiprocessing.get_context(method)
 
 
 @dataclass
@@ -48,20 +63,12 @@ class WorkerOutput:
 def node_task(args) -> WorkerOutput:
     """Per-node extraction job (module-level so it pickles).
 
-    ``args`` is ``(dataset_or_path, lam)`` or
-    ``(dataset_or_path, lam, pipeline_options)``.  A string first element
-    is a dataset directory reopened in-process via ``load_dataset`` —
-    the zero-pickling path ``extract_parallel_mp`` uses whenever the
-    dataset knows its ``source_dir``.
-
-    When pipeline options are given, triangulation goes through
-    :func:`repro.parallel.pipeline.pipelined_marching_cubes` — which
-    falls back to the serial kernel automatically inside daemonic pool
-    workers (they may not spawn their own children), so the result is
-    identical either way.
+    ``args`` is ``(dataset_or_path, lam)``.  A string first element is
+    a dataset directory reopened in-process via ``load_dataset`` — the
+    zero-pickling path ``extract_parallel_mp`` uses whenever the dataset
+    knows its ``source_dir``.
     """
-    source, lam, *rest = args
-    pipeline = rest[0] if rest else None
+    source, lam = args
     if isinstance(source, str):
         from repro.core.persistence import load_dataset
 
@@ -69,7 +76,7 @@ def node_task(args) -> WorkerOutput:
     else:
         dataset = source
     qr = execute_query(dataset, lam)
-    mesh, _ = triangulate_records(dataset, qr.records, lam, pipeline=pipeline)
+    mesh, _ = triangulate_records(dataset, qr.records, lam)
     return WorkerOutput(
         node_rank=dataset.node_rank,
         n_active_metacells=qr.n_active,
@@ -189,9 +196,6 @@ def _run_supervised(
 
     def spawn(idx: int) -> None:
         heartbeat = ctx.Value("d", time.monotonic())
-        # Daemonic, like Pool workers: a nested triangulation pipeline
-        # inside the job falls back to the serial kernel instead of
-        # spawning grandchildren (bit-identical either way).
         proc = ctx.Process(
             target=_supervised_node_task,
             args=(jobs[idx], idx, result_queue, heartbeat),
@@ -262,7 +266,6 @@ def extract_parallel_mp(
     datasets: "list[IndexedDataset]",
     lam: float,
     processes: "int | None" = None,
-    pipeline: "PipelineOptions | None" = None,
     supervisor: "SupervisorOptions | None" = None,
     supervisor_stats: "SupervisorStats | None" = None,
 ) -> "list[WorkerOutput]":
@@ -279,12 +282,6 @@ def extract_parallel_mp(
         Isovalue.
     processes:
         Worker pool size; defaults to ``len(datasets)``.
-    pipeline:
-        Optional :class:`~repro.parallel.pipeline.PipelineOptions` for
-        the triangulation stage.  Effective on the inline (single
-        process) path; inside supervised workers it degrades to the
-        serial kernel (non-daemonic workers could fork, but the nested
-        pipeline falls back identically), with identical output.
     supervisor:
         Crash-recovery policy (heartbeats, respawn budget); default
         :data:`DEFAULT_SUPERVISOR_OPTIONS`.  A worker killed mid-job is
@@ -301,7 +298,7 @@ def extract_parallel_mp(
         One entry per node, ordered by node rank.
     """
     jobs = [
-        (ds.source_dir if ds.source_dir else ds, float(lam), pipeline)
+        (ds.source_dir if ds.source_dir else ds, float(lam))
         for ds in datasets
     ]
     n_proc = processes or len(datasets)

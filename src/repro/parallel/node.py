@@ -17,7 +17,6 @@ from repro.core.builder import IndexedDataset
 from repro.core.query import QueryOptions, QueryResult, execute_query
 from repro.mc.backends import triangulate_records
 from repro.mc.geometry import TriangleMesh
-from repro.obs.tracer import coerce_tracer
 from repro.parallel.metrics import NodeMetrics
 from repro.parallel.perfmodel import PerformanceModel
 
@@ -34,22 +33,21 @@ def extract_node(
     accounting — everything a node can compute without the global
     volume.
 
-    ``options`` configures both stages (read strategy, deadline budget,
-    tracing, result-cache view; ``backend`` / ``batch_chunk`` /
-    ``pipeline`` for the kernel).  Stage times are modeled from the
-    counted work through ``perf``; ``render_time`` is left to the
-    caller, which knows how many buffers of what size the node
-    rasterizes.  A ``time_budget`` that cuts the query short shows as
-    ``deadline_expired``, the span-space bricks left unread, and
-    ``coverage`` < 1 (delivered / predicted active metacells).
+    ``options`` configures both stages (read-ahead, deadline budget,
+    tracing, result-cache view; ``backend`` / ``batch_chunk`` for the
+    kernel).  Stage times are modeled from the counted work through
+    ``perf``; ``render_time`` is left to the caller, which knows how
+    many buffers of what size the node rasterizes.  A ``time_budget``
+    that cuts the query short shows as ``deadline_expired``, the
+    span-space bricks left unread, and ``coverage`` < 1 (delivered /
+    predicted active metacells).
     """
     t0 = time.perf_counter()
     qr = execute_query(dataset, lam, options)
     mesh, normals = triangulate_records(
         dataset, qr.records, lam,
         backend=options.backend, batch_chunk=options.batch_chunk,
-        pipeline=options.pipeline, with_normals=with_normals,
-        tracer=coerce_tracer(options.tracer), track=options.track,
+        with_normals=with_normals,
     )
     metrics = NodeMetrics(node_rank=dataset.node_rank)
     metrics.n_active_metacells = qr.n_active

@@ -100,16 +100,10 @@ class IsosurfacePipeline:
         normals instead of flat facets.
 
         ``options`` (a :class:`repro.core.query.QueryOptions`) tunes the
-        query stage — read coalescing via ``coalesce_gap_blocks``,
-        deadlines, tracing — and the triangulation stage: ``backend``
-        selects the extraction kernel through
-        :mod:`repro.mc.backends`, ``batch_chunk`` sizes its vectorized
-        passes, and the ``pipeline`` field
-        (:class:`repro.parallel.pipeline.PipelineOptions`) routes
-        pipeline-capable backends through the stage-overlapped
-        shared-memory executor.  With the default exact backend every
-        combination returns bit-identical geometry and identical modeled
-        I/O charges; only wall time differs.
+        query stage — read-ahead, deadlines, tracing — and the
+        triangulation stage: ``backend`` selects the extraction kernel
+        through :mod:`repro.mc.backends` and ``batch_chunk`` sizes its
+        vectorized passes.
         """
         metrics, mesh, normals, qr = extract_node(
             self.dataset, lam,

@@ -1,15 +1,19 @@
 """Design-budget ratchet for the extraction data path, the rasterizer and
 the preprocessing scan pass (AST walk, no imports of the code under test).
 
-Two budgets, both of which the pre-refactor code blew
+Four budgets, each of which some earlier state of the code blew
 (``SimulatedCluster.extract`` had 433 body lines and a ``**legacy_kwargs``
-catch-all):
+catch-all; ``core/query.py`` carried a second, knob-selected read
+strategy and ``parallel/`` a knob-selected shared-memory executor):
 
 * no function in the data-path modules exceeds ``MAX_BODY_LINES`` lines,
   docstring excluded;
 * the four public entry points take an options/request object or
   nothing — no ``**`` catch-all parameter to smuggle a second call form
-  back in.
+  back in;
+* the field sets of ``QueryOptions`` and ``ExtractRequest`` are pinned,
+  so a new knob is a reviewed diff of this file;
+* the names of the deleted forks do not reappear in ``src/repro``.
 """
 
 import ast
@@ -22,13 +26,37 @@ MAX_BODY_LINES = 120
 
 DATA_PATH_MODULES = (
     "core/query.py",
-    "parallel/cluster.py",
-    "parallel/node.py",
-    "parallel/mp_backend.py",
     "pipeline.py",
     "render/rasterizer.py",
     "grid/metacell.py",
     "core/builder.py",
+    "mc/backends.py",
+    *sorted(
+        p.relative_to(SRC).as_posix()
+        for pkg in ("parallel", "io")
+        for p in (SRC / pkg).glob("*.py")
+    ),
+)
+
+#: (module, class) -> the exact set of settable fields.
+OPTION_FIELDS = {
+    ("core/query.py", "QueryOptions"): {
+        "read_ahead_blocks", "retry_policy", "verify_checksums",
+        "time_budget", "tracer", "metrics", "track", "result_cache",
+        "backend", "batch_chunk",
+    },
+    ("parallel/cluster.py", "ExtractRequest"): {
+        "render", "camera", "keep_meshes", "tile_layout", "smooth",
+        "deadline", "hedge", "speculate", "tracer", "metrics", "tenant",
+        "result_cache", "cache_populate", "backend", "batch_chunk",
+    },
+}
+
+#: Names of the two deleted knob-selected forks (coalesced peek+replay
+#: reader, shared-memory triangulation pipeline).
+DELETED_FORK_NAMES = (
+    "coalesce_gap_blocks", "charge_read", "PipelineOptions",
+    "shared_memory", "supports_pipeline",
 )
 
 #: module -> qualified names that must not grow a ``**`` parameter.
@@ -86,3 +114,26 @@ def test_entry_points_have_no_catch_all_kwargs(module, name):
         f"{name} grew **{fn.args.kwarg.arg}: settings travel in the "
         f"options/request object only"
     )
+
+
+@pytest.mark.parametrize("module,cls", OPTION_FIELDS)
+def test_option_fields_are_pinned(module, cls):
+    tree = ast.parse((SRC / module).read_text())
+    node = next(
+        n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == cls
+    )
+    fields = {
+        st.target.id for st in node.body if isinstance(st, ast.AnnAssign)
+    }
+    assert fields == OPTION_FIELDS[module, cls]
+
+
+def test_deleted_forks_stay_deleted():
+    hits = [
+        f"{path.relative_to(SRC)}: {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for text in [path.read_text()]
+        for name in DELETED_FORK_NAMES
+        if name in text
+    ]
+    assert not hits

@@ -16,9 +16,9 @@ Four contracts under test:
   chunk- and permutation-invariant; plus the wraparound and
   absolute-placement regressions.
 * **Selection plumbing**: both backends are reachable through
-  ``QueryOptions`` / ``ExtractRequest`` across serial, coalesced,
-  pipelined, fault-injected, and deadline-cut paths, and the
-  modern-kwarg shim rejects mixed spellings.
+  ``QueryOptions`` / ``ExtractRequest`` across healthy,
+  fault-injected, and deadline-cut paths, and the modern-kwarg shim
+  rejects mixed spellings.
 """
 
 import dataclasses
@@ -49,7 +49,6 @@ from repro.mc.marching_cubes import marching_cubes, marching_cubes_batch
 from repro.mc.surface_nets import surface_nets, surface_nets_batch
 from repro.mc.tables import CORNERS, EDGE_MASK, EDGE_VERTICES, N_TRI, TRI_TABLE
 from repro.parallel.cluster import ExtractRequest, SimulatedCluster
-from repro.parallel.pipeline import PipelineOptions
 from repro.pipeline import IsosurfacePipeline
 
 
@@ -155,10 +154,8 @@ class TestRegistry:
     def test_backend_properties(self):
         mc = get_backend("mc-batch")
         sn = get_backend("surface-nets")
-        assert mc.exact and mc.supports_pipeline
-        assert mc.extract_chunks is not None
-        assert not sn.exact and not sn.supports_pipeline
-        assert sn.extract_chunks is None
+        assert mc.exact
+        assert not sn.exact
 
     def test_unknown_name_lists_alternatives(self):
         with pytest.raises(ValueError, match="mc-batch"):
@@ -171,8 +168,7 @@ class TestRegistry:
 
     def test_register_and_unregister(self):
         bk = KernelBackend(
-            name="test-kernel", batch=marching_cubes_batch,
-            extract_chunks=None, exact=True, supports_pipeline=False,
+            name="test-kernel", batch=marching_cubes_batch, exact=True,
         )
         try:
             register_backend(bk)
@@ -186,10 +182,7 @@ class TestRegistry:
 
     def test_bad_name_rejected(self):
         with pytest.raises(ValueError):
-            register_backend(KernelBackend(
-                name="", batch=None, extract_chunks=None,
-                exact=True, supports_pipeline=False,
-            ))
+            register_backend(KernelBackend(name="", batch=None, exact=True))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +442,7 @@ class TestSurfaceNetsTopology:
 
 
 # ---------------------------------------------------------------------------
-# Selection plumbing: QueryOptions / ExtractRequest / pipeline / faults
+# Selection plumbing: QueryOptions / ExtractRequest / faults
 # ---------------------------------------------------------------------------
 
 
@@ -461,31 +454,6 @@ def sphere_pipe():
 
 
 class TestBackendSelection:
-    @pytest.mark.parametrize("backend", ["mc-batch", "surface-nets"])
-    def test_serial_and_coalesced_paths(self, sphere_pipe, backend):
-        serial = sphere_pipe.extract(
-            0.5, options=QueryOptions(backend=backend)
-        )
-        coalesced = sphere_pipe.extract(
-            0.5, options=QueryOptions(backend=backend, coalesce_gap_blocks=4)
-        )
-        assert serial.mesh.n_triangles > 0
-        assert np.array_equal(serial.mesh.vertices, coalesced.mesh.vertices)
-        assert np.array_equal(serial.mesh.faces, coalesced.mesh.faces)
-
-    @pytest.mark.parametrize("backend", ["mc-batch", "surface-nets"])
-    def test_pipelined_path_matches_serial(self, sphere_pipe, backend):
-        """mc-batch runs through the shm pipeline bit-identically;
-        surface-nets (supports_pipeline=False) silently falls back to
-        one serial kernel call — either way the geometry matches."""
-        serial = sphere_pipe.extract(0.5, options=QueryOptions(backend=backend))
-        piped = sphere_pipe.extract(0.5, options=QueryOptions(
-            backend=backend,
-            pipeline=PipelineOptions(workers=2, batch_chunks=1),
-        ))
-        assert np.array_equal(serial.mesh.vertices, piped.mesh.vertices)
-        assert np.array_equal(serial.mesh.faces, piped.mesh.faces)
-
     def test_batch_chunk_default_bit_identity(self, sphere_pipe):
         base = sphere_pipe.extract(0.5)
         explicit = sphere_pipe.extract(

@@ -1,45 +1,26 @@
-"""mp-worker crash recovery + shared-memory lifecycle tests.
+"""mp-worker crash recovery tests.
 
-Supervisor side: a worker killed mid-job (``os._exit``, no unwinding)
-is detected by the parent, respawned up to ``max_respawns`` times, then
-the job is finished inline — results are identical to a run with no
-deaths.  Pipeline side: no ``repro_pl_*`` shared-memory segment ever
-survives a ``pipelined_marching_cubes`` call — success, worker
-exception, or worker death — and segments orphaned by a SIGKILLed
-parent are reclaimed by :func:`purge_orphan_segments`.
+A worker killed mid-job (``os._exit``, no unwinding) is detected by the
+parent, respawned up to ``max_respawns`` times, then the job is
+finished inline — results are identical to a run with no deaths.
 """
 
-import dataclasses
-import glob
 import os
 
 import numpy as np
 import pytest
 
-import repro.mc.backends as backends_mod
 import repro.parallel.mp_backend as mp_backend
-import repro.parallel.pipeline as pipeline_mod
 from repro.core.builder import build_striped_datasets
 from repro.grid.datasets import sphere_field
-from repro.mc.marching_cubes import DEFAULT_BATCH_CHUNK, marching_cubes_batch
 from repro.parallel.mp_backend import (
     SupervisorOptions,
     SupervisorStats,
     extract_parallel_mp,
     node_task,
 )
-from repro.parallel.pipeline import (
-    SHM_PREFIX,
-    PipelineOptions,
-    pipelined_marching_cubes,
-    purge_orphan_segments,
-)
 
 ISO = 0.62
-
-
-def live_segments():
-    return glob.glob(f"/dev/shm/{SHM_PREFIX}_*")
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +32,7 @@ def nodes():
 
 @pytest.fixture(scope="module")
 def serial_outputs(nodes):
-    return [node_task((ds, ISO, None)) for ds in nodes]
+    return [node_task((ds, ISO)) for ds in nodes]
 
 
 def patch_node_task(monkeypatch, behave):
@@ -156,105 +137,3 @@ class TestSupervisorRecovery:
     def test_options_validation(self, kwargs):
         with pytest.raises(ValueError):
             SupervisorOptions(**kwargs)
-
-
-class TestPipelineShmLifecycle:
-    @pytest.fixture(scope="class")
-    def batch(self):
-        rng = np.random.default_rng(3)
-        n = DEFAULT_BATCH_CHUNK * 6
-        values = rng.random((n, 5, 5, 5))
-        origins = np.zeros((n, 3))
-        origins[:, 0] = np.arange(n) * 4
-        ref = marching_cubes_batch(values, 0.5, origins)
-        return values, origins, ref
-
-    def test_success_leaves_no_segments(self, batch):
-        values, origins, ref = batch
-        mesh = pipelined_marching_cubes(
-            values, 0.5, origins,
-            options=PipelineOptions(workers=2, batch_chunks=2),
-        )
-        assert np.array_equal(mesh.vertices, ref.vertices)
-        assert np.array_equal(mesh.faces, ref.faces)
-        assert live_segments() == []
-
-    def test_failed_run_leaves_no_segments(self, batch, monkeypatch):
-        """The satellite invariant: a run whose worker raises leaves
-        zero ``repro_pl_*`` segments in /dev/shm."""
-        values, origins, _ = batch
-        bk = backends_mod.get_backend("mc-batch")
-        orig = bk.extract_chunks
-
-        def raising(values, lam, origins, chunk, with_normals):
-            if in_worker():
-                raise RuntimeError("worker boom")
-            return orig(values, lam, origins, chunk, with_normals)
-
-        monkeypatch.setitem(
-            backends_mod._REGISTRY, "mc-batch",
-            dataclasses.replace(bk, extract_chunks=raising),
-        )
-        with pytest.raises(RuntimeError, match="worker boom"):
-            pipelined_marching_cubes(
-                values, 0.5, origins,
-                options=PipelineOptions(workers=2, batch_chunks=2),
-            )
-        assert live_segments() == []
-
-    def test_dead_worker_recovered_inline_no_segments(self, batch, monkeypatch):
-        """A worker killed outright (no unwinding): the parent re-runs
-        the timed-out job from its staged copy, bit-identically."""
-        values, origins, ref = batch
-        bk = backends_mod.get_backend("mc-batch")
-        orig = bk.extract_chunks
-
-        def dying(values, lam, origins, chunk, with_normals):
-            if in_worker():
-                os._exit(137)
-            return orig(values, lam, origins, chunk, with_normals)
-
-        monkeypatch.setitem(
-            backends_mod._REGISTRY, "mc-batch",
-            dataclasses.replace(bk, extract_chunks=dying),
-        )
-        mesh = pipelined_marching_cubes(
-            values, 0.5, origins,
-            options=PipelineOptions(workers=2, batch_chunks=2, job_timeout=3.0),
-        )
-        assert np.array_equal(mesh.vertices, ref.vertices)
-        assert np.array_equal(mesh.faces, ref.faces)
-        assert live_segments() == []
-
-    def test_purge_reclaims_dead_owner_segments(self):
-        from multiprocessing import resource_tracker, shared_memory
-
-        name = f"{SHM_PREFIX}_999999_0"  # pid 999999 does not exist
-        seg = shared_memory.SharedMemory(create=True, size=64, name=name)
-        seg.close()
-        try:
-            resource_tracker.unregister(seg._name, "shared_memory")
-        except Exception:
-            pass
-        assert os.path.exists(f"/dev/shm/{name}")
-        removed = purge_orphan_segments()
-        assert name in removed
-        assert not os.path.exists(f"/dev/shm/{name}")
-
-    def test_purge_spares_live_owner_segments(self):
-        from multiprocessing import shared_memory
-
-        name = f"{SHM_PREFIX}_{os.getpid()}_424242"
-        seg = shared_memory.SharedMemory(create=True, size=64, name=name)
-        try:
-            assert name not in purge_orphan_segments()
-            assert os.path.exists(f"/dev/shm/{name}")
-        finally:
-            seg.close()
-            seg.unlink()
-
-    def test_job_timeout_validation(self):
-        with pytest.raises(ValueError):
-            PipelineOptions(job_timeout=0.0)
-        with pytest.raises(ValueError):
-            PipelineOptions(job_timeout=-1.0)

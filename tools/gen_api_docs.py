@@ -105,34 +105,19 @@ def main() -> int:
         "serialize byte-identically (see `repro.obs` and",
         "docs/PERFMODEL.md).",
         "",
-        "## The zero-copy streaming pipeline",
+        "## The read path",
         "",
-        "`QueryOptions(coalesce_gap_blocks=g)` merges adjacent plan runs",
-        "into single device extents (modeled I/O charges unchanged — see",
-        "docs/PERFMODEL.md), and `QueryOptions(pipeline=",
-        "PipelineOptions(workers=w))` routes triangulation through the",
-        "stage-overlapped shared-memory executor in",
-        "`repro.parallel.pipeline`.  Both knobs also ride on",
-        "`ExtractRequest` for cluster extractions.  The data path:",
-        "",
-        "```",
-        "          parent (reader stage)                 MC workers",
-        "  ┌────────────────────────────────┐      ┌──────────────────┐",
-        "  │ plan → coalesced extents       │      │ attach shm seg   │",
-        "  │ peek() zero-copy view          │ shm  │ _extract_batch_  │",
-        "  │ verify span (1 crc32 C call)   │─────▶│   chunks (512-   │",
-        "  │ decode via np.frombuffer views │ name │   cell chunks)   │",
-        "  │ stage job k+1 while workers    │      │ return verts/    │",
-        "  │   triangulate job k            │◀─────│   faces/normals  │",
-        "  └────────────────────────────────┘      └──────────────────┘",
-        "        └─ concat in job order + world transform once",
-        "           (bit-identical to the serial kernel)",
-        "```",
-        "",
-        "Jobs are cut on the serial 512-metacell chunk boundaries and",
-        "reassembled in job order, so serial, coalesced, and pipelined",
-        "extraction produce byte-identical meshes and identical `IOStats`",
-        "(property-tested in `tests/test_zero_copy_pipeline.py`).",
+        "There is one read strategy: `execute_plan` walks the plan's runs",
+        "in order, one metered device read per chunk, on every device",
+        "stack (raw, fault-injecting, hedged, cached) — so `IOStats`,",
+        "deadline cut points and fault sequences never depend on a knob.",
+        "Underneath it the bytes are handled zero-copy: chunks land in",
+        "one reusable `bytearray`, clean spans verify with one",
+        "`zlib.crc32` call against the cumulative CRC table, and records",
+        "decode through `np.frombuffer` views (see docs/PERFMODEL.md).",
+        "Triangulation is one inline kernel call",
+        "(`repro.mc.backends.triangulate_records`); process parallelism is",
+        "per node (`repro.parallel.mp_backend.extract_parallel_mp`).",
         "",
         "## Caching and cross-query result reuse",
         "",
