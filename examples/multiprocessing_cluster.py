@@ -6,15 +6,19 @@ composite, so each node's query+triangulation can run in a separate
 ``multiprocessing`` worker with nothing shared.  The parent receives
 only each node's mesh and counters — the analogue of shipping frame
 buffers — and verifies the union against the in-process serial result.
+The stripes are built straight to per-node directories (each node owns
+the bricks on its local disk), so workers are handed a *path* and
+reopen their own store; nothing but the path is pickled.
 
 Run:  python examples/multiprocessing_cluster.py
 """
 
 from __future__ import annotations
 
+import tempfile
 import time
 
-from repro import build_indexed_dataset, build_striped_datasets, rm_timestep
+from repro import build_indexed_dataset, build_persistent_striped, rm_timestep
 from repro.mc.geometry import TriangleMesh
 from repro.parallel.mp_backend import extract_parallel_mp
 from repro.pipeline import IsosurfacePipeline
@@ -25,13 +29,16 @@ def main() -> None:
     iso = 128.0
     volume = rm_timestep(220, shape=(65, 65, 57))
 
-    print(f"striping across {p} node datasets ...")
-    datasets = build_striped_datasets(volume, p, (9, 9, 9))
+    with tempfile.TemporaryDirectory(prefix="mp_cluster_") as root:
+        print(f"striping across {p} node directories under {root} ...")
+        datasets = build_persistent_striped(volume, root, p, (9, 9, 9))
+        for ds in datasets:
+            ds.device.close()
 
-    print(f"running {p} node extractions in separate OS processes ...")
-    t0 = time.perf_counter()
-    outputs = extract_parallel_mp(datasets, iso, processes=p)
-    elapsed = time.perf_counter() - t0
+        print(f"running {p} node extractions in separate OS processes ...")
+        t0 = time.perf_counter()
+        outputs = extract_parallel_mp(datasets, iso, processes=p)
+        elapsed = time.perf_counter() - t0
 
     for out in outputs:
         print(

@@ -12,7 +12,7 @@ Run:  python examples/timevarying_exploration.py
 from __future__ import annotations
 
 from repro import TimeVaryingIndex, rm_time_series
-from repro.mc.marching_cubes import marching_cubes_batch
+from repro.parallel.node import extract_node
 
 
 def main() -> None:
@@ -30,18 +30,9 @@ def main() -> None:
     iso = 70.0
     print(f"{'step':>5} {'active MC':>10} {'triangles':>10}  per-node active metacells")
     for t in steps:
-        results = tvi.query(t, iso)
-        tris = 0
-        for q, res in enumerate(results):
-            ds = tvi.datasets(t)[q]
-            if res.n_active:
-                mesh = marching_cubes_batch(
-                    ds.codec.values_grid(res.records), iso,
-                    ds.meta.vertex_origins(res.records.ids),
-                )
-                tris += mesh.n_triangles
-        amc = [r.n_active for r in results]
-        print(f"{t:>5} {sum(amc):>10} {tris:>10}  {amc}")
+        nodes = [extract_node(ds, iso)[0] for ds in tvi.datasets(t)]
+        amc = [m.n_active_metacells for m in nodes]
+        print(f"{t:>5} {sum(amc):>10} {sum(m.n_triangles for m in nodes):>10}  {amc}")
 
     print(
         "\nper-step work grows as the mixing layer thickens; each row is "

@@ -38,7 +38,7 @@ from repro.core import (
     execute_query,
     extract_unstructured,
     load_dataset,
-    save_dataset,
+    build_persistent_striped,
 )
 from repro.grid import (
     RMInstabilityModel,
@@ -80,7 +80,7 @@ __all__ = [
     "build_persistent_dataset",
     "build_unstructured_dataset",
     "extract_unstructured",
-    "save_dataset",
+    "build_persistent_striped",
     "load_dataset",
     "ExternalCompactIndex",
     "execute_query",

@@ -27,8 +27,9 @@ from repro.core.persistence import build_persistent_dataset, load_dataset
 from repro.core.query import QueryOptions, execute_query
 from repro.grid.rm_instability import rm_timestep
 from repro.grid.volume import Volume
-from repro.mc.backends import available_backends, triangulate_records
+from repro.mc.backends import available_backends
 from repro.mc.geometry import TriangleMesh
+from repro.parallel.node import extract_node
 
 
 def _parse_shape(text: str) -> tuple[int, int, int]:
@@ -51,8 +52,7 @@ def _load_volume(args) -> Volume:
 
 
 def _extract_mesh(dataset, iso: float) -> TriangleMesh:
-    records = execute_query(dataset, iso).records
-    return triangulate_records(dataset, records, iso)[0]
+    return extract_node(dataset, iso)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -767,8 +767,9 @@ def cmd_preprocess_series(args) -> int:
         rm_time_series(steps, shape=args.shape, n_steps=args.n_steps, seed=args.seed),
         p=args.nodes,
         metacell_shape=(args.metacell,) * 3,
+        directory=args.out,
     )
-    tvi.save(args.out)
+    tvi.close()
     print(f"indexed steps {steps[0]}..{steps[-1]} ({len(steps)} steps) "
           f"on {args.nodes} node(s) -> {args.out}")
     print(f"combined in-memory index: {tvi.total_index_size_bytes()} bytes")
@@ -777,7 +778,6 @@ def cmd_preprocess_series(args) -> int:
 
 def cmd_query_series(args) -> int:
     from repro.core.timevarying import TimeVaryingIndex
-    from repro.mc.geometry import TriangleMesh
 
     tvi = TimeVaryingIndex.load(args.dataset)
     steps = args.steps if args.steps else tvi.steps
@@ -786,14 +786,10 @@ def cmd_query_series(args) -> int:
         if t not in tvi:
             print(f"{t:>6} (not indexed)")
             continue
-        results = tvi.query(t, args.iso)
-        meshes = tvi.extract(t, args.iso)
-        total = TriangleMesh.concat(meshes)
-        amc = [r.n_active for r in results]
-        print(f"{t:>6} {sum(amc):>10} {total.n_triangles:>10}  {amc}")
-    for t in tvi.steps:
-        for ds in tvi.datasets(t):
-            ds.device.close()
+        nodes = [extract_node(ds, args.iso)[0] for ds in tvi.datasets(t)]
+        amc = [m.n_active_metacells for m in nodes]
+        print(f"{t:>6} {sum(amc):>10} {sum(m.n_triangles for m in nodes):>10}  {amc}")
+    tvi.close()
     return 0
 
 

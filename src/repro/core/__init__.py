@@ -27,7 +27,7 @@ from repro.core.intervals import IntervalSet
 from repro.core.compact_tree import CompactIntervalTree, QueryPlan
 from repro.core.builder import IndexedDataset, build_indexed_dataset, build_striped_datasets
 from repro.core.external_tree import ExternalCompactIndex
-from repro.core.persistence import build_persistent_dataset, load_dataset, save_dataset
+from repro.core.persistence import build_persistent_dataset, build_persistent_striped, load_dataset
 from repro.core.query import QueryOptions, QueryResult, execute_plan, execute_query
 from repro.core.striping import stripe_brick_records, striping_balance_bound
 from repro.core.timevarying import TimeVaryingIndex
@@ -63,7 +63,7 @@ __all__ = [
     "build_striped_datasets",
     "ExternalCompactIndex",
     "build_persistent_dataset",
-    "save_dataset",
+    "build_persistent_striped",
     "load_dataset",
     "QueryOptions",
     "QueryResult",

@@ -180,6 +180,40 @@ def _make_report(
     )
 
 
+@dataclass(frozen=True)
+class LayoutPlan:
+    """What a build decides before it writes a byte: pure, deterministic
+    compute that a resumed journaled build reruns to the same record order.
+    ``tree`` is the global tree; its stripes share ``meta`` and ``report``."""
+
+    partition: MetacellPartition
+    tree: CompactIntervalTree
+    codec: MetacellCodec
+    meta: DatasetMeta
+    report: PreprocessReport
+
+    def dataset(self, tree, device, base_offset, checksums, **placement) -> IndexedDataset:
+        """The dataset of ``tree`` (global or one stripe) as laid out on ``device``."""
+        return IndexedDataset(
+            tree=tree, device=device, codec=self.codec, base_offset=base_offset,
+            meta=self.meta, report=self.report, checksums=checksums, **placement,
+        )
+
+
+def plan_layout(volume: Volume, metacell_shape=(9, 9, 9), drop_constant=True) -> LayoutPlan:
+    """Partition → intervals → compact tree → codec: the one plan step of
+    the in-memory, striped and journaled builders."""
+    partition = partition_metacells(volume, metacell_shape)
+    intervals = IntervalSet.from_partition(partition, drop_constant=drop_constant)
+    tree = CompactIntervalTree.build(intervals)
+    codec = MetacellCodec(partition.metacell_shape, volume.dtype)
+    return LayoutPlan(
+        partition, tree, codec,
+        _make_meta(volume, partition.grid_shape, partition.metacell_shape),
+        _make_report(partition.n_metacells, volume.nbytes, intervals, tree, codec),
+    )
+
+
 def encode_group(
     codec: MetacellCodec,
     partition: MetacellPartition,
@@ -206,18 +240,15 @@ def encode_group(
 
 
 def _write_records(
-    device,
-    codec: MetacellCodec,
-    partition: MetacellPartition,
-    tree: CompactIntervalTree,
-    checksum: bool = True,
+    device, plan: LayoutPlan, tree: CompactIntervalTree, checksum: bool = True
 ) -> "tuple[int, BrickChecksums | None]":
-    """Serialize ``tree``'s records, in layout order, to ``device``.
+    """Serialize ``tree``'s records of ``plan``, in layout order, to ``device``.
 
     Returns ``(base_offset, checksums)``: the CRC32 of every record, the
     cumulative stream CRC table that makes span verification one call,
     and the per-brick rollup (``None`` with ``checksum=False``).
     """
+    codec, partition = plan.codec, plan.partition
     ids, vmins = tree.record_ids, tree.record_vmins
     n = len(ids)
     base = device.allocate(n * codec.record_size)
@@ -247,24 +278,11 @@ def build_indexed_dataset(
     ``checksum=True`` (default) records CRC32 integrity tables alongside
     the layout; pass False to reproduce the paper's bare format.
     """
-    partition = partition_metacells(volume, metacell_shape)
-    intervals = IntervalSet.from_partition(partition, drop_constant=drop_constant)
-    tree = CompactIntervalTree.build(intervals)
-    codec = MetacellCodec(partition.metacell_shape, volume.dtype)
+    plan = plan_layout(volume, metacell_shape, drop_constant)
     if device is None:
         device = SimulatedBlockDevice(cost_model or IOCostModel())
-    base, checksums = _write_records(device, codec, partition, tree, checksum)
-    return IndexedDataset(
-        tree=tree,
-        device=device,
-        codec=codec,
-        base_offset=base,
-        meta=_make_meta(volume, partition.grid_shape, partition.metacell_shape),
-        report=_make_report(
-            partition.n_metacells, volume.nbytes, intervals, tree, codec
-        ),
-        checksums=checksums,
-    )
+    base, checksums = _write_records(device, plan, plan.tree, checksum)
+    return plan.dataset(plan.tree, device, base, checksums)
 
 
 def build_striped_datasets(
@@ -299,35 +317,20 @@ def build_striped_datasets(
         raise ValueError(
             f"replication must be in [1, p={p}], got {replication}"
         )
-    partition = partition_metacells(volume, metacell_shape)
-    intervals = IntervalSet.from_partition(partition, drop_constant=drop_constant)
-    tree = CompactIntervalTree.build(intervals)
-    codec = MetacellCodec(partition.metacell_shape, volume.dtype)
-    report = _make_report(partition.n_metacells, volume.nbytes, intervals, tree, codec)
-    meta = _make_meta(volume, partition.grid_shape, partition.metacell_shape)
-
+    plan = plan_layout(volume, metacell_shape, drop_constant)
     if devices is None:
         devices = [SimulatedBlockDevice(cost_model or IOCostModel()) for _ in range(p)]
     if len(devices) != p:
         raise ValueError(f"expected {p} devices, got {len(devices)}")
 
-    layouts: list[StripedNodeLayout] = stripe_brick_records(tree, p, stagger=stagger)
+    layouts: list[StripedNodeLayout] = stripe_brick_records(plan.tree, p, stagger=stagger)
     out = []
     for lay, device in zip(layouts, devices):
-        base, checksums = _write_records(device, codec, partition, lay.tree, checksum)
-        out.append(
-            IndexedDataset(
-                tree=lay.tree,
-                device=device,
-                codec=codec,
-                base_offset=base,
-                meta=meta,
-                report=report,
-                node_rank=lay.node_rank,
-                n_cluster_nodes=p,
-                checksums=checksums,
-            )
-        )
+        base, checksums = _write_records(device, plan, lay.tree, checksum)
+        out.append(plan.dataset(
+            lay.tree, device, base, checksums,
+            node_rank=lay.node_rank, n_cluster_nodes=p,
+        ))
 
     # Replica pass, after all primaries: node q hosts copies of the full
     # local layouts of the replication-1 nodes preceding it in rank order.
@@ -335,6 +338,6 @@ def build_striped_datasets(
         for q in range(p):
             src = (q - i) % p
             out[q].replica_stores[src], _ = _write_records(
-                devices[q], codec, partition, layouts[src].tree, checksum=False
+                devices[q], plan, layouts[src].tree, checksum=False
             )
     return out

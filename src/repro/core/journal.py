@@ -165,10 +165,7 @@ class BuildJournal:
 
     def unlink(self) -> None:
         self.close()
-        try:
-            self.path.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
+        self.path.unlink(missing_ok=True)
 
     def __enter__(self) -> "BuildJournal":
         return self

@@ -1,24 +1,24 @@
-"""Index persistence: save and reload preprocessed datasets.
+"""Dataset persistence: the one durable store writer, and its reader.
 
-The whole point of out-of-core preprocessing is to pay it once; this
-module persists everything a later session needs next to the brick
-store:
-
-* the compact interval tree (all arrays + node structure) as ``.npz``;
-* the dataset metadata (grid geometry, codec parameters, preprocessing
-  report, base offset) as JSON.
-
-``save_dataset`` / ``load_dataset`` pair with
-:class:`repro.io.diskfile.FileBackedDevice` so a dataset directory is
-fully self-describing::
+The whole point of out-of-core preprocessing is to pay it once.  A
+preprocessed dataset is a self-describing directory::
 
     dataset_dir/
-      bricks.bin     the brick layout (written during preprocessing)
-      index.npz      the compact interval tree
-      meta.json      codec + grid metadata + report
+      bricks.bin     the brick layout, records in tree order
+      index.npz      the compact interval tree + CRC32 checksum tables
+      meta.json      codec + grid metadata + report + build fingerprint
 
-Only the index and metadata are (de)serialized here — the brick store is
-already on disk, which is the point.
+and only the journaled builder creates those files, in three steps:
+*plan* (:func:`repro.core.builder.plan_layout` + the input fingerprint),
+*journaled store write* (record groups written, fsync'd, read back and
+logged in ``build.journal``; ``bricks.bin`` renamed into place) and
+*publish* (``index.npz`` then ``meta.json``, each tmp → fsync →
+``os.replace``; journal commit).  The store write takes any tree over
+the partition, so the same steps serve :func:`build_persistent_dataset`
+(the serial tree), :func:`build_persistent_striped` (the ``p`` stripes of
+paper Section 5.1 in ``node_<q>/``) and a time series (one striped build
+per ``step_<t>/``, :class:`repro.core.timevarying.TimeVaryingIndex`).
+Bricks go to disk as they are encoded; only the index stays in memory.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from repro.core.builder import (
     WRITE_CHUNK_RECORDS,
     DatasetMeta,
     IndexedDataset,
+    LayoutPlan,
     PreprocessReport,
-    _make_meta,
-    _make_report,
     encode_group,
+    plan_layout,
 )
 from repro.core.compact_tree import CompactIntervalTree, TreeNode
 from repro.io.cost_model import IOCostModel
@@ -155,68 +155,11 @@ def tree_from_arrays(arrays: "dict[str, np.ndarray]") -> CompactIntervalTree:
 # ---------------------------------------------------------------------------
 
 
-def _meta_to_json(dataset: IndexedDataset) -> dict:
-    rep = dataset.report
-    return {
-        "format_version": FORMAT_VERSION,
-        "base_offset": dataset.base_offset,
-        "node_rank": dataset.node_rank,
-        "n_cluster_nodes": dataset.n_cluster_nodes,
-        "has_checksums": dataset.checksums is not None,
-        "codec": {
-            "metacell_shape": list(dataset.codec.metacell_shape),
-            "scalar_dtype": dataset.codec.scalar_dtype.str,
-        },
-        "meta": {
-            "grid_shape": list(dataset.meta.grid_shape),
-            "metacell_shape": list(dataset.meta.metacell_shape),
-            "volume_shape": list(dataset.meta.volume_shape),
-            "spacing": list(dataset.meta.spacing),
-            "origin": list(dataset.meta.origin),
-            "name": dataset.meta.name,
-        },
-        "report": {
-            "n_metacells_total": rep.n_metacells_total,
-            "n_metacells_culled": rep.n_metacells_culled,
-            "n_metacells_stored": rep.n_metacells_stored,
-            "original_bytes": rep.original_bytes,
-            "stored_bytes": rep.stored_bytes,
-            "index_bytes": rep.index_bytes,
-            "n_distinct_endpoints": rep.n_distinct_endpoints,
-            "n_bricks": rep.n_bricks,
-            "tree_height": rep.tree_height,
-        },
-    }
-
-
-def save_dataset(dataset: IndexedDataset, directory: str | Path) -> Path:
-    """Persist the index + metadata of a file-backed dataset.
-
-    The dataset's device must be a :class:`FileBackedDevice` whose file
-    already lives at ``directory / bricks.bin`` (build it that way), or
-    any device — in which case only index/meta are written and the
-    caller owns brick placement.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    arrays = tree_to_arrays(dataset.tree)
-    if dataset.checksums is not None:
-        arrays["record_crcs"] = dataset.checksums.record_crcs
-        arrays["brick_crcs"] = dataset.checksums.brick_crcs
-        if dataset.checksums.cum_crcs is not None:
-            arrays["cum_crcs"] = dataset.checksums.cum_crcs
-    np.savez_compressed(directory / INDEX_FILE, **arrays)
-    (directory / META_FILE).write_text(json.dumps(_meta_to_json(dataset), indent=2))
-    if isinstance(dataset.device, FileBackedDevice):
-        dataset.device.flush()
-    return directory
-
-
 def load_dataset(
     directory: str | Path, cost_model: IOCostModel | None = None
 ) -> IndexedDataset:
-    """Reopen a dataset directory produced by :func:`save_dataset` +
-    a ``bricks.bin`` brick store."""
+    """Reopen a dataset directory committed by
+    :func:`build_persistent_dataset` / :func:`build_persistent_striped`."""
     directory = Path(directory)
     meta_path = directory / META_FILE
     if not meta_path.exists():
@@ -252,14 +195,9 @@ def load_dataset(
         tuple(blob["codec"]["metacell_shape"]),
         np.dtype(blob["codec"]["scalar_dtype"]),
     )
-    meta = DatasetMeta(
-        grid_shape=tuple(blob["meta"]["grid_shape"]),
-        metacell_shape=tuple(blob["meta"]["metacell_shape"]),
-        volume_shape=tuple(blob["meta"]["volume_shape"]),
-        spacing=tuple(blob["meta"]["spacing"]),
-        origin=tuple(blob["meta"]["origin"]),
-        name=blob["meta"]["name"],
-    )
+    meta = DatasetMeta(**{
+        k: tuple(v) if isinstance(v, list) else v for k, v in blob["meta"].items()
+    })
     report = PreprocessReport(**blob["report"])
     bricks = directory / BRICKS_FILE
     if not bricks.exists():
@@ -387,10 +325,259 @@ def _clear_stale_build(directory: Path) -> None:
         INDEX_TMP_FILE,
         META_TMP_FILE,
     ):
-        try:
-            (directory / name).unlink()
-        except FileNotFoundError:
-            pass
+        (directory / name).unlink(missing_ok=True)
+
+
+def _resume_point(directory: Path, fingerprint: dict, n: int, rec: int,
+                  resume: bool, crcs: np.ndarray, cum: np.ndarray):
+    """Decide where a build of ``fingerprint`` into ``directory`` starts.
+
+    ``None``: the directory already holds exactly that build, committed.
+    Otherwise ``(resumed, verified, store_complete)``: whether a live
+    journal of the same input is continued, how many of its leading
+    records re-verified against the file bytes (filling ``crcs`` /
+    ``cum``), and whether ``bricks.bin`` is already renamed.  Anything
+    else found (other data, mismatched or missing journal) is cleared.
+    """
+    from repro.core.journal import BuildJournal
+
+    bricks = directory / BRICKS_FILE
+    partial = directory / BRICKS_PARTIAL_FILE
+    state = BuildJournal.read_state(directory)
+    committed = (directory / META_FILE).exists()
+
+    if committed and (state is None or state.committed):
+        # A published dataset with no (live) journal: the previous build
+        # finished.  A leftover committed journal just missed its unlink.
+        if state is not None:
+            BuildJournal(directory).unlink()
+        if resume:
+            try:
+                blob = json.loads((directory / META_FILE).read_text())
+            except (OSError, json.JSONDecodeError):
+                blob = {}
+            if blob.get("build_fingerprint") == fingerprint:
+                return None
+        _clear_stale_build(directory)
+        return False, 0, False
+
+    verified, store_complete = 0, False
+    if state is not None and not state.committed:
+        resumable = (
+            resume
+            and state.fingerprint == fingerprint
+            and state.record_size == rec
+            and state.n_records == n
+        )
+        if resumable and not partial.exists() and bricks.exists():
+            # Crash landed between the bricks rename and the meta
+            # commit.  The journal must account for every record; then
+            # the store is complete and only index/meta publication is
+            # left to redo.
+            verified = _verified_resume_point(bricks, state, rec, crcs, cum)
+            resumable = store_complete = verified == n
+        elif resumable and partial.exists():
+            verified = _verified_resume_point(partial, state, rec, crcs, cum)
+        # Resumable with no store at all: records start over, the
+        # (matching) journal history stays appendable.
+        if not resumable:
+            _clear_stale_build(directory)
+            return False, 0, False
+    elif state is None:
+        # No journal: any bricks/partial here are of unknown provenance.
+        _clear_stale_build(directory)
+    return state is not None, verified, store_complete
+
+
+def _write_store(directory: Path, plan: LayoutPlan, tree, journal, verified: int,
+                 crcs: np.ndarray, cum: np.ndarray, cost_model, group: int,
+                 crash, wrap_device, verify_writes: bool) -> None:
+    """The journaled store write: each record group of ``tree`` past
+    ``verified`` is encoded, written, fsync'd, read back and journaled
+    into ``bricks.bin.partial``, which is then renamed to ``bricks.bin``.
+    ``tree`` is any tree over ``plan.partition``: the serial tree or one
+    stripe's :attr:`~repro.core.striping.StripedNodeLayout.tree`."""
+    partial = directory / BRICKS_PARTIAL_FILE
+    n, rec = tree.n_records, plan.codec.record_size
+    raw = FileBackedDevice(partial, cost_model, create=(verified == 0))
+    if raw.size < n * rec:
+        raw.allocate(n * rec - raw.size)
+    elif raw.size > n * rec:  # pragma: no cover - over-long stale partial
+        raw.truncate(n * rec)
+    device = wrap_device(raw) if wrap_device is not None else raw
+    ids, vmins = tree.record_ids, tree.record_vmins
+    for g, s in enumerate(range(0, n, group)):
+        e = min(s + group, n)
+        if e <= verified:
+            continue
+        blob = encode_group(plan.codec, plan.partition, ids, vmins, crcs, cum, s, e)
+        device.write(s * rec, blob)
+        crash.point(f"group_written:{g}")
+        device.fsync()
+        crash.point(f"group_flushed:{g}")
+        if verify_writes:
+            intended = zlib.crc32(blob)
+            for _attempt in range(8):
+                if zlib.crc32(raw.peek(s * rec, len(blob))) == intended:
+                    break
+                # Torn/absorbed write: rewrite the whole group
+                # (through the same, possibly faulty, device).
+                device.write(s * rec, blob)
+                device.fsync()
+            else:
+                from repro.io.faults import TornWriteError
+
+                raise TornWriteError(
+                    f"group {g} failed read-back verification 8 times"
+                )
+        journal.group(g, e, int(cum[e]))
+        crash.point(f"group_journaled:{g}")
+    device.fsync()
+    device.close()
+    crash.point("store_closed")
+    os.replace(partial, directory / BRICKS_FILE)
+    _fsync_dir(directory)
+    crash.point("bricks_renamed")
+
+
+def _publish(directory: Path, dataset: IndexedDataset, fingerprint: dict,
+             journal, crash) -> None:
+    """Publish ``index.npz`` then ``meta.json`` — each tmp → fsync →
+    ``os.replace`` → directory fsync — and commit the journal.  The only
+    code that creates either file; ``meta.json`` appearing is what makes
+    the directory a dataset."""
+    arrays = tree_to_arrays(dataset.tree)
+    arrays["record_crcs"] = dataset.checksums.record_crcs
+    arrays["brick_crcs"] = dataset.checksums.brick_crcs
+    arrays["cum_crcs"] = dataset.checksums.cum_crcs
+    meta_blob = {
+        "format_version": FORMAT_VERSION,
+        "base_offset": dataset.base_offset,
+        "node_rank": dataset.node_rank,
+        "n_cluster_nodes": dataset.n_cluster_nodes,
+        "has_checksums": True,
+        "codec": {
+            "metacell_shape": list(dataset.codec.metacell_shape),
+            "scalar_dtype": dataset.codec.scalar_dtype.str,
+        },
+        # Both are flat dataclasses; load_dataset rebuilds them by field.
+        "meta": dict(vars(dataset.meta)),
+        "report": dict(vars(dataset.report)),
+        "build_fingerprint": fingerprint,
+    }
+
+    def commit(stem: str, tmp: str, final: str, write) -> None:
+        with open(directory / tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        crash.point(f"{stem}_tmp_written")
+        os.replace(directory / tmp, directory / final)
+        _fsync_dir(directory)
+        crash.point(f"{stem}_renamed")
+
+    commit("index", INDEX_TMP_FILE, INDEX_FILE, lambda fh: np.savez_compressed(fh, **arrays))
+    commit("meta", META_TMP_FILE, META_FILE,
+           lambda fh: fh.write(json.dumps(meta_blob, indent=2).encode("utf-8")))
+    journal.commit()
+    crash.point("journal_committed")
+    journal.unlink()
+
+
+def _build_node(directory: Path, tree, node_rank: int, p: int, fingerprint: dict,
+                plan: LayoutPlan, cost_model, group: int, resume: bool, crash,
+                wrap_device, verify_writes: bool) -> IndexedDataset:
+    """One journaled, resumable build: ``tree``'s records of ``plan``
+    into ``directory`` as node ``node_rank`` of ``p``."""
+    from repro.core.journal import BuildJournal
+
+    directory.mkdir(parents=True, exist_ok=True)
+    n, rec = tree.n_records, plan.codec.record_size
+    crcs = np.empty(n, dtype=np.uint32)
+    cum = np.zeros(n + 1, dtype=np.uint32)
+    start = _resume_point(directory, fingerprint, n, rec, resume, crcs, cum)
+    if start is None:
+        return load_dataset(directory, cost_model)
+    resumed, verified, store_complete = start
+
+    journal = BuildJournal(directory)
+    if resumed:
+        journal.note("resume")
+    else:
+        journal.begin(fingerprint, n, rec, group)
+        crash.point("begin_journaled")
+    if not store_complete:
+        _write_store(
+            directory, plan, tree, journal, verified, crcs, cum, cost_model,
+            group, crash, wrap_device, verify_writes,
+        )
+    dataset = plan.dataset(
+        tree, FileBackedDevice(directory / BRICKS_FILE, cost_model, create=False), 0,
+        BrickChecksums.from_record_crcs(
+            crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
+        ),
+        node_rank=node_rank, n_cluster_nodes=p, source_dir=str(directory),
+    )
+    _publish(directory, dataset, fingerprint, journal, crash)
+    return dataset
+
+
+def _build_nodes(volume, directory: Path, p: "int | None", metacell_shape, cost_model,
+                 group_records, resume, crash, wrap_device, verify_writes):
+    """Plan once, then one journaled build per node: ``directory/node_<q>``
+    for each of ``p`` stripes, or (``p=None``) the serial tree in
+    ``directory`` itself."""
+    from repro.core.striping import stripe_brick_records
+    from repro.io.faults import NULL_CRASH_SCHEDULE
+
+    crash = crash if crash is not None else NULL_CRASH_SCHEDULE
+    group = int(group_records or WRITE_CHUNK_RECORDS)
+    if group < 1:
+        raise ValueError(f"group_records must be >= 1, got {group}")
+    plan = plan_layout(volume, metacell_shape)
+    fingerprint = build_fingerprint(
+        volume, plan.partition.metacell_shape, plan.tree.n_records,
+        plan.codec.record_size,
+    )
+    if p is None:
+        nodes = [(directory, plan.tree, 0, 1, fingerprint)]
+    else:
+        nodes = [
+            (directory / f"node_{lay.node_rank}", lay.tree, lay.node_rank, p,
+             {**fingerprint, "n_records": lay.tree.n_records,
+              "node_rank": lay.node_rank, "n_cluster_nodes": p})
+            for lay in stripe_brick_records(plan.tree, p)
+        ]
+    return [
+        _build_node(*node, plan, cost_model, group, resume, crash, wrap_device,
+                    verify_writes)
+        for node in nodes
+    ]
+
+
+def build_persistent_striped(
+    volume, directory: str | Path, p: int,
+    metacell_shape: tuple[int, int, int] = (9, 9, 9),
+    cost_model: IOCostModel | None = None,
+    *, group_records: "int | None" = None, crash=None,
+) -> "list[IndexedDataset]":
+    """Preprocess ``volume`` striped across ``p`` nodes straight to disk:
+    ``directory/node_<q>/{bricks.bin,index.npz,meta.json}``, each node a
+    journaled build with the guarantees (and the ``group_records`` /
+    ``crash`` keywords) of :func:`build_persistent_dataset`.
+
+    The node builds run in rank order and share one partition pass and
+    one volume CRC; each node's fingerprint adds ``(node_rank, p)``, so
+    a rerun loads the committed nodes, resumes the interrupted one and
+    builds the rest.  Node ``q``'s store and checksum tables equal
+    :func:`repro.core.builder.build_striped_datasets` node ``q``'s.
+    """
+    if p < 1:
+        raise ValueError(f"node count must be >= 1, got {p}")
+    return _build_nodes(
+        volume, Path(directory), p, metacell_shape, cost_model,
+        group_records, resume=True, crash=crash, wrap_device=None, verify_writes=True,
+    )
 
 
 def build_persistent_dataset(
@@ -441,175 +628,7 @@ def build_persistent_dataset(
         writes).  The wrapper must pass through ``allocate`` / ``write``
         / ``fsync`` / ``close``.
     """
-    from repro.core.intervals import IntervalSet
-    from repro.core.journal import BuildJournal
-    from repro.grid.metacell import partition_metacells
-    from repro.io.faults import NULL_CRASH_SCHEDULE
-
-    crash = crash if crash is not None else NULL_CRASH_SCHEDULE
-    group = int(group_records or WRITE_CHUNK_RECORDS)
-    if group < 1:
-        raise ValueError(f"group_records must be >= 1, got {group}")
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    bricks = directory / BRICKS_FILE
-    partial = directory / BRICKS_PARTIAL_FILE
-    index_tmp = directory / INDEX_TMP_FILE
-    meta_tmp = directory / META_TMP_FILE
-
-    # The index build is pure, deterministic compute — rerunning it on
-    # resume reproduces the exact record order the interrupted run used.
-    partition = partition_metacells(volume, metacell_shape)
-    intervals = IntervalSet.from_partition(partition, drop_constant=True)
-    tree = CompactIntervalTree.build(intervals)
-    codec = MetacellCodec(partition.metacell_shape, volume.dtype)
-    n = tree.n_records
-    rec = codec.record_size
-    fingerprint = build_fingerprint(volume, partition.metacell_shape, n, rec)
-
-    state = BuildJournal.read_state(directory)
-    committed = (directory / META_FILE).exists()
-
-    if committed and (state is None or state.committed):
-        # A published dataset with no (live) journal: the previous build
-        # finished.  A leftover committed journal just missed its unlink.
-        if state is not None:
-            BuildJournal(directory).unlink()
-        if resume:
-            try:
-                blob = json.loads((directory / META_FILE).read_text())
-            except (OSError, json.JSONDecodeError):
-                blob = {}
-            if blob.get("build_fingerprint") == fingerprint:
-                return load_dataset(directory, cost_model)
-        _clear_stale_build(directory)
-        state = None
-
-    verified = 0
-    crcs = np.empty(n, dtype=np.uint32)
-    cum = np.zeros(n + 1, dtype=np.uint32)
-    journal = BuildJournal(directory)
-    skip_record_writes = False
-
-    if state is not None and not state.committed:
-        resumable = (
-            resume
-            and state.fingerprint == fingerprint
-            and state.record_size == rec
-            and state.n_records == n
-        )
-        if resumable and not partial.exists() and bricks.exists():
-            # Crash landed between the bricks rename and the meta
-            # commit.  The journal must account for every record; then
-            # the store is complete and only index/meta publication is
-            # left to redo.
-            verified = _verified_resume_point(bricks, state, rec, crcs, cum)
-            if verified == n:
-                skip_record_writes = True
-            else:
-                resumable = False
-        elif resumable and partial.exists():
-            verified = _verified_resume_point(partial, state, rec, crcs, cum)
-        elif resumable:
-            # Journal began but no store survived: start records over
-            # while keeping the (matching) journal history appendable.
-            verified = 0
-        if not resumable:
-            _clear_stale_build(directory)
-            state = None
-            verified = 0
-    elif state is None and not committed:
-        # No journal: any bricks/partial here are of unknown provenance.
-        _clear_stale_build(directory)
-
-    if state is None:
-        journal.begin(fingerprint, n, rec, group)
-        crash.point("begin_journaled")
-    else:
-        journal.note("resume")
-
-    if not skip_record_writes:
-        raw = FileBackedDevice(partial, cost_model, create=(verified == 0))
-        if raw.size < n * rec:
-            raw.allocate(n * rec - raw.size)
-        elif raw.size > n * rec:  # pragma: no cover - over-long stale partial
-            raw.truncate(n * rec)
-        device = wrap_device(raw) if wrap_device is not None else raw
-        ids, vmins = tree.record_ids, tree.record_vmins
-        for g, s in enumerate(range(0, n, group)):
-            e = min(s + group, n)
-            if e <= verified:
-                continue
-            blob = encode_group(codec, partition, ids, vmins, crcs, cum, s, e)
-            device.write(s * rec, blob)
-            crash.point(f"group_written:{g}")
-            device.fsync()
-            crash.point(f"group_flushed:{g}")
-            if verify_writes:
-                intended = zlib.crc32(blob)
-                for _attempt in range(8):
-                    if zlib.crc32(raw.peek(s * rec, len(blob))) == intended:
-                        break
-                    # Torn/absorbed write: rewrite the whole group
-                    # (through the same, possibly faulty, device).
-                    device.write(s * rec, blob)
-                    device.fsync()
-                else:
-                    from repro.io.faults import TornWriteError
-
-                    raise TornWriteError(
-                        f"group {g} failed read-back verification 8 times"
-                    )
-            journal.group(g, e, int(cum[e]))
-            crash.point(f"group_journaled:{g}")
-        device.fsync()
-        device.close()
-        crash.point("store_closed")
-        os.replace(partial, bricks)
-        _fsync_dir(directory)
-        crash.point("bricks_renamed")
-
-    final_device = FileBackedDevice(bricks, cost_model, create=False)
-    dataset = IndexedDataset(
-        tree=tree,
-        device=final_device,
-        codec=codec,
-        base_offset=0,
-        meta=_make_meta(volume, partition.grid_shape, partition.metacell_shape),
-        report=_make_report(
-            partition.n_metacells, volume.nbytes, intervals, tree, codec
-        ),
-        checksums=BrickChecksums.from_record_crcs(
-            crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
-        ),
-        source_dir=str(directory),
-    )
-
-    arrays = tree_to_arrays(tree)
-    arrays["record_crcs"] = dataset.checksums.record_crcs
-    arrays["brick_crcs"] = dataset.checksums.brick_crcs
-    arrays["cum_crcs"] = dataset.checksums.cum_crcs
-    with open(index_tmp, "wb") as fh:
-        np.savez_compressed(fh, **arrays)
-        fh.flush()
-        os.fsync(fh.fileno())
-    crash.point("index_tmp_written")
-    os.replace(index_tmp, directory / INDEX_FILE)
-    _fsync_dir(directory)
-    crash.point("index_renamed")
-
-    meta_blob = _meta_to_json(dataset)
-    meta_blob["build_fingerprint"] = fingerprint
-    with open(meta_tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(meta_blob, indent=2))
-        fh.flush()
-        os.fsync(fh.fileno())
-    crash.point("meta_tmp_written")
-    os.replace(meta_tmp, directory / META_FILE)
-    _fsync_dir(directory)
-    crash.point("meta_renamed")
-
-    journal.commit()
-    crash.point("journal_committed")
-    journal.unlink()
-    return dataset
+    return _build_nodes(
+        volume, Path(directory), None, metacell_shape, cost_model,
+        group_records, resume, crash, wrap_device, verify_writes,
+    )[0]

@@ -8,15 +8,27 @@ exactly as in the single-step case.
 
 Construction streams the time steps one at a time — the generator
 interface of :func:`repro.grid.rm_instability.rm_time_series` plugs in
-directly — so the resident set stays bounded by one step regardless of
-how many steps are indexed.
+directly.  With ``directory=`` each step goes straight to disk through
+the journaled writer (:func:`repro.core.persistence.build_persistent_striped`)
+as ``step_<t>/node_<q>/{bricks.bin,index.npz,meta.json}``: a series is
+K·p crash-consistent, resumable, fsck-able node builds, a rerun skips
+committed steps, and resident brick bytes are bounded by one step —
+only the indexes accumulate.  Without it the bricks stay on in-memory
+simulated devices.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from pathlib import Path
+from typing import Iterable, Iterator
 
-from repro.core.builder import IndexedDataset, build_indexed_dataset, build_striped_datasets
+from repro.core.builder import IndexedDataset, build_striped_datasets
+from repro.core.persistence import (
+    DatasetFormatError,
+    MissingArtifactError,
+    build_persistent_striped,
+    load_dataset,
+)
 from repro.core.query import QueryResult, execute_query
 from repro.grid.volume import Volume
 from repro.io.cost_model import IOCostModel
@@ -33,10 +45,9 @@ class TimeVaryingIndex:
         Metacell vertex dimensions, shared by all steps.
     cost_model:
         Disk calibration used for all simulated devices.
-    device_factory:
-        Optional callable ``(step, node_rank) -> BlockDevice`` for custom
-        storage (e.g. file-backed devices); defaults to fresh in-memory
-        simulated devices.
+    directory:
+        Series directory each step is built into, durably (module
+        docstring); ``None`` keeps bricks on in-memory simulated devices.
     """
 
     def __init__(
@@ -44,14 +55,14 @@ class TimeVaryingIndex:
         p: int = 1,
         metacell_shape: tuple[int, int, int] = (9, 9, 9),
         cost_model: IOCostModel | None = None,
-        device_factory: "Callable[[int, int], object] | None" = None,
+        directory: "str | Path | None" = None,
     ) -> None:
         if p < 1:
             raise ValueError(f"node count must be >= 1, got {p}")
         self.p = p
         self.metacell_shape = metacell_shape
         self.cost_model = cost_model or IOCostModel()
-        self.device_factory = device_factory
+        self.directory = None if directory is None else Path(directory)
         self._steps: dict[int, list[IndexedDataset]] = {}
 
     # -- construction --------------------------------------------------------
@@ -60,20 +71,14 @@ class TimeVaryingIndex:
         """Preprocess and index one time step."""
         if t in self._steps:
             raise ValueError(f"time step {t} already indexed")
-        if self.device_factory is not None:
-            devices = [self.device_factory(t, q) for q in range(self.p)]
-        else:
-            devices = None
-        if self.p == 1:
-            dev = devices[0] if devices else None
-            datasets = [
-                build_indexed_dataset(
-                    volume, self.metacell_shape, device=dev, cost_model=self.cost_model
-                )
-            ]
+        if self.directory is not None:
+            datasets = build_persistent_striped(
+                volume, self.directory / f"step_{t:04d}", self.p,
+                self.metacell_shape, self.cost_model,
+            )
         else:
             datasets = build_striped_datasets(
-                volume, self.p, self.metacell_shape, devices=devices, cost_model=self.cost_model
+                volume, self.p, self.metacell_shape, cost_model=self.cost_model
             )
         self._steps[t] = datasets
         return datasets
@@ -85,10 +90,10 @@ class TimeVaryingIndex:
         p: int = 1,
         metacell_shape: tuple[int, int, int] = (9, 9, 9),
         cost_model: IOCostModel | None = None,
-        device_factory=None,
+        directory: "str | Path | None" = None,
     ) -> "TimeVaryingIndex":
         """Index an entire ``(t, volume)`` series, one step at a time."""
-        tvi = cls(p, metacell_shape, cost_model, device_factory)
+        tvi = cls(p, metacell_shape, cost_model, directory)
         for t, vol in series:
             tvi.add_step(t, vol)
         return tvi
@@ -139,83 +144,64 @@ class TimeVaryingIndex:
     # -- extraction convenience -------------------------------------------
 
     def extract(self, t: int, lam: float):
-        """Query step ``t`` and triangulate every node's share.
+        """Run the node stage (one query, one triangulation) on every
+        node of step ``t``: per-node :class:`~repro.mc.geometry.TriangleMesh`
+        (concatenate with ``TriangleMesh.concat`` for the full surface)."""
+        from repro.parallel.node import extract_node
 
-        Returns a list of per-node :class:`~repro.mc.geometry.TriangleMesh`
-        (concatenate with ``TriangleMesh.concat`` for the full surface).
-        """
-        from repro.mc.backends import triangulate_records
-
-        return [
-            triangulate_records(ds, res.records, lam)[0]
-            for ds, res in zip(self.datasets(t), self.query(t, lam))
-        ]
+        return [extract_node(ds, lam)[1] for ds in self.datasets(t)]
 
     # -- persistence --------------------------------------------------------
 
-    def save(self, directory) -> "Path":
-        """Persist every step's index + brick store under ``directory``.
-
-        Layout: ``directory/step_<t>/node_<q>/{bricks.bin,index.npz,meta.json}``.
-        Requires every device to be file-backed *or* in-memory (in-memory
-        stores are copied out to files).
-        """
-        from pathlib import Path
-
-        from repro.core.persistence import BRICKS_FILE, save_dataset
-        from repro.io.diskfile import FileBackedDevice
-
-        directory = Path(directory)
-        for t, datasets in self.iter_steps():
+    def close(self) -> None:
+        """Close every step's devices (the open ``bricks.bin`` handles of
+        a series built with ``directory=`` or reopened by :meth:`load`)."""
+        for datasets in self._steps.values():
             for ds in datasets:
-                node_dir = directory / f"step_{t:04d}" / f"node_{ds.node_rank}"
-                node_dir.mkdir(parents=True, exist_ok=True)
-                bricks = node_dir / BRICKS_FILE
-                # Copy without going through the metered read path (a
-                # backup is not a query; stats must stay clean).
-                if isinstance(ds.device, FileBackedDevice):
-                    ds.device.flush()
-                    if ds.device.path.resolve() != bricks.resolve():
-                        import shutil
-
-                        shutil.copyfile(ds.device.path, bricks)
-                elif hasattr(ds.device, "_buf"):
-                    bricks.write_bytes(bytes(ds.device._buf))
-                else:
-                    raise TypeError(
-                        f"cannot persist device of type {type(ds.device).__name__}"
-                    )
-                save_dataset(ds, node_dir)
-        (directory / "steps.txt").write_text(
-            "\n".join(str(t) for t in self.steps) + "\n"
-        )
-        return directory
+                ds.device.close()
 
     @classmethod
     def load(cls, directory, cost_model: IOCostModel | None = None) -> "TimeVaryingIndex":
-        """Reopen a directory written by :meth:`save`."""
-        from pathlib import Path
+        """Reopen a series directory: every ``step_<t>/`` in it, each
+        step's nodes ordered by the ``node_rank`` in their ``meta.json``.
 
-        from repro.core.persistence import load_dataset
-
+        Raises :class:`~repro.core.persistence.MissingArtifactError` for
+        an absent or empty series and for a step with a node missing or
+        not yet committed, :class:`~repro.core.persistence.DatasetFormatError`
+        unless every step holds distinct ranks ``0..p-1`` of one ``p``.
+        """
         directory = Path(directory)
-        steps_file = directory / "steps.txt"
-        if not steps_file.exists():
-            raise FileNotFoundError(f"no steps.txt in {directory}")
-        steps = [int(s) for s in steps_file.read_text().split()]
-        tvi = None
-        for t in steps:
-            step_dir = directory / f"step_{t:04d}"
-            node_dirs = sorted(step_dir.glob("node_*"))
-            if not node_dirs:
-                raise FileNotFoundError(f"no node directories in {step_dir}")
-            datasets = [load_dataset(d, cost_model) for d in node_dirs]
-            if tvi is None:
-                tvi = cls(
-                    p=len(datasets),
-                    metacell_shape=datasets[0].meta.metacell_shape,
-                    cost_model=cost_model,
-                )
-            tvi._steps[t] = datasets
-        assert tvi is not None
+        steps = sorted(
+            (int(d.name[5:]), d)
+            for d in directory.glob("step_*")
+            if d.name[5:].isdigit() and d.is_dir()
+        )
+        if not steps:
+            raise MissingArtifactError(f"no step_<t> directories in {directory}")
+        tvi = cls(cost_model=cost_model, directory=directory)
+        try:
+            for t, step_dir in steps:
+                nodes = tvi._steps[t] = []
+                for node_dir in step_dir.glob("node_*"):
+                    nodes.append(load_dataset(node_dir, cost_model))
+                if not nodes:
+                    raise MissingArtifactError(f"no node_<q> directories in {step_dir}")
+                nodes.sort(key=lambda ds: ds.node_rank)
+                if len(tvi) == 1:
+                    tvi.p = nodes[0].n_cluster_nodes
+                    tvi.metacell_shape = nodes[0].meta.metacell_shape
+                placement = [(ds.node_rank, ds.n_cluster_nodes) for ds in nodes]
+                missing = sorted({(q, tvi.p) for q in range(tvi.p)} - set(placement))
+                if len(placement) + len(missing) != tvi.p:
+                    raise DatasetFormatError(
+                        f"{step_dir} holds (node_rank, n_cluster_nodes) {placement}: "
+                        f"not distinct ranks of the series' {tvi.p} nodes"
+                    )
+                if missing:
+                    raise MissingArtifactError(
+                        f"{step_dir} lacks node(s) {[q for q, _ in missing]} of {tvi.p}"
+                    )
+        except Exception:
+            tvi.close()
+            raise
         return tvi

@@ -25,9 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.builder import IndexedDataset
-from repro.core.query import execute_query
-from repro.mc.backends import triangulate_records
 from repro.mc.geometry import TriangleMesh
+from repro.parallel.node import extract_node
 
 
 def default_mp_context():
@@ -75,14 +74,13 @@ def node_task(args) -> WorkerOutput:
         dataset = load_dataset(source)
     else:
         dataset = source
-    qr = execute_query(dataset, lam)
-    mesh, _ = triangulate_records(dataset, qr.records, lam)
+    metrics, mesh, _, _ = extract_node(dataset, lam)
     return WorkerOutput(
-        node_rank=dataset.node_rank,
-        n_active_metacells=qr.n_active,
-        n_triangles=mesh.n_triangles,
-        blocks_read=qr.io_stats.blocks_read,
-        seeks=qr.io_stats.seeks,
+        node_rank=metrics.node_rank,
+        n_active_metacells=metrics.n_active_metacells,
+        n_triangles=metrics.n_triangles,
+        blocks_read=metrics.io_stats.blocks_read,
+        seeks=metrics.io_stats.seeks,
         vertices=mesh.vertices,
         faces=mesh.faces,
     )

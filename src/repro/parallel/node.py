@@ -18,15 +18,15 @@ from repro.core.query import QueryOptions, QueryResult, execute_query
 from repro.mc.backends import triangulate_records
 from repro.mc.geometry import TriangleMesh
 from repro.parallel.metrics import NodeMetrics
-from repro.parallel.perfmodel import PerformanceModel
+from repro.parallel.perfmodel import PAPER_CLUSTER, PerformanceModel
 
 
 def extract_node(
     dataset: IndexedDataset,
     lam: float,
-    options: QueryOptions,
+    options: QueryOptions = QueryOptions(),
     *,
-    perf: PerformanceModel,
+    perf: PerformanceModel = PAPER_CLUSTER,
     with_normals: bool = False,
 ) -> "tuple[NodeMetrics, TriangleMesh, np.ndarray | None, QueryResult]":
     """Query + triangulate ``dataset`` at ``lam`` and fill in the node's

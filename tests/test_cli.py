@@ -161,6 +161,37 @@ class TestTimeVaryingCLI:
         out = capsys.readouterr().out
         assert out.count("\n") >= 3  # header + 2 steps
 
+    def test_query_series_reads_each_node_once_per_step(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``query-series`` used to query every node twice per step (once
+        for the counts, once more inside ``extract``): the device meters
+        it leaves behind must equal one query per node per step."""
+        from repro.core.timevarying import TimeVaryingIndex
+
+        out = tmp_path / "tv"
+        main([
+            "preprocess-series", "--steps", "40,60", "--shape", "25x25x21",
+            "--n-steps", "100", "--metacell", "5", "--nodes", "2",
+            "--out", str(out),
+        ])
+        opened = []
+        load = TimeVaryingIndex.load
+        monkeypatch.setattr(
+            TimeVaryingIndex, "load",
+            lambda directory: opened.append(load(directory)) or opened[-1],
+        )
+        assert main(["query-series", str(out), "120"]) == 0
+        (served,) = opened
+        fresh = load(out)
+        for t in fresh.steps:
+            for ds, once in zip(served.datasets(t), fresh.query(t, 120.0)):
+                assert once.io_stats.blocks_read > 0
+                assert ds.device.stats.read_ops == once.io_stats.read_ops
+                assert ds.device.stats.blocks_read == once.io_stats.blocks_read
+                assert ds.device.stats.seeks == once.io_stats.seeks
+        fresh.close()
+
     def test_query_series_subset_and_missing(self, tmp_path, capsys):
         main([
             "preprocess-series", "--steps", "5", "--shape", "17x17x13",

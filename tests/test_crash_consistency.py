@@ -1,19 +1,23 @@
 """Crash-consistency tests for the journaled builder.
 
 Representative tier-1 subset of ``tools/crash_kill_harness.py``: every
-kill point of one small build is exercised in-process, plus a
+kill point of one small build — flat, striped over three nodes, and a
+two-step two-node time series — is exercised in-process, plus a
 crash-during-resume, a genuine forked ``SIGKILL``-style death, and
 torn-write recovery.  The invariant throughout: a build killed anywhere
 and resumed produces artifacts **byte-identical** to an uninterrupted
 build, with the journal gone and a deep verify clean.
 """
 
+import functools
 import hashlib
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from repro.core import timevarying
 from repro.core.journal import JOURNAL_FILE, BuildJournal
 from repro.core.persistence import (
     BRICKS_FILE,
@@ -21,6 +25,8 @@ from repro.core.persistence import (
     INDEX_FILE,
     META_FILE,
     build_persistent_dataset,
+    build_persistent_striped,
+    load_dataset,
 )
 from repro.core.validation import verify_dataset
 from repro.grid.volume import Volume
@@ -49,15 +55,38 @@ def small_volume(seed=5):
 
 
 def hashes(directory):
+    """Digest of every artifact under ``directory`` (a flat dataset, or
+    the node directories of a striped build or a series), by path."""
     return {
-        name: hashlib.sha256((directory / name).read_bytes()).hexdigest()
-        for name in ARTIFACTS
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.name in ARTIFACTS
     }
 
 
-def clear(directory):
-    for entry in directory.iterdir():
-        entry.unlink()
+def assert_every_kill_point_resumes(build, tmp_path):
+    """``build(out, crash=None) -> datasets``: killed at each of its
+    crash points in turn and rerun, it must leave exactly the artifacts
+    of an uninterrupted run, no journal or staging file, and node
+    directories that reload and deep-verify clean."""
+    probe = CrashSchedule(kill_at=None)
+    build(tmp_path / "ref", probe)
+    want = hashes(tmp_path / "ref")
+    trial = tmp_path / "trial"
+    for k in range(probe.points_seen):
+        with pytest.raises(SimulatedCrash):
+            build(trial, CrashSchedule(kill_at=k))
+        datasets = build(trial)
+        assert hashes(trial) == want, f"kill point {k}"
+        for name in (JOURNAL_FILE, BRICKS_PARTIAL_FILE):
+            assert not list(trial.rglob(name)), f"kill point {k}"
+        for ds in datasets:
+            ds.device.close()
+            reopened = load_dataset(ds.source_dir)
+            assert verify_dataset(reopened, deep=True).ok, f"kill point {k}"
+            reopened.device.close()
+        shutil.rmtree(trial)
+    return probe
 
 
 @pytest.fixture(scope="module")
@@ -98,22 +127,47 @@ class TestEveryKillPoint:
     def test_all_kill_points_resume_byte_identical(
         self, volume, reference, tmp_path
     ):
-        trial = tmp_path / "trial"
-        trial.mkdir()
-        for k in range(reference["n_points"]):
-            clear(trial)
-            with pytest.raises(SimulatedCrash):
-                build_persistent_dataset(
-                    volume, trial, MC, group_records=GROUP_RECORDS,
-                    crash=CrashSchedule(kill_at=k),
-                )
-            ds = build_persistent_dataset(
-                volume, trial, MC, group_records=GROUP_RECORDS
+        probe = assert_every_kill_point_resumes(
+            lambda out, crash=None: [build_persistent_dataset(
+                volume, out, MC, group_records=GROUP_RECORDS, crash=crash
+            )],
+            tmp_path,
+        )
+        assert probe.trace == reference["trace"]
+
+    def test_striped_kill_points_resume_byte_identical(self, volume, tmp_path):
+        """Every crash point of every node build of a p = 3 stripe."""
+        probe = assert_every_kill_point_resumes(
+            lambda out, crash=None: build_persistent_striped(
+                volume, out, 3, MC, group_records=GROUP_RECORDS, crash=crash
+            ),
+            tmp_path,
+        )
+        assert probe.trace.count("journal_committed") == 3
+
+    def test_series_kill_points_resume_byte_identical(
+        self, volume, tmp_path, monkeypatch
+    ):
+        """Every crash point of the 2 x 2 node builds of a two-step,
+        two-node series written by ``TimeVaryingIndex(directory=...)``;
+        the schedule is handed to the writer it calls."""
+        steps = [(0, volume), (1, small_volume(seed=6))]
+
+        def build(out, crash=None):
+            monkeypatch.setattr(
+                timevarying, "build_persistent_striped",
+                functools.partial(
+                    build_persistent_striped,
+                    group_records=2 * GROUP_RECORDS, crash=crash,
+                ),
             )
-            assert hashes(trial) == reference["hashes"], f"kill point {k}"
-            assert not (trial / JOURNAL_FILE).exists(), f"kill point {k}"
-            assert not (trial / BRICKS_PARTIAL_FILE).exists(), f"kill point {k}"
-            assert verify_dataset(ds, deep=True).ok, f"kill point {k}"
+            tvi = timevarying.TimeVaryingIndex.from_series(
+                steps, p=2, metacell_shape=MC, directory=out
+            )
+            return [ds for _, nodes in tvi.iter_steps() for ds in nodes]
+
+        probe = assert_every_kill_point_resumes(build, tmp_path)
+        assert probe.trace.count("journal_committed") == 4
 
     def test_crash_during_resume(self, volume, reference, tmp_path):
         out = tmp_path / "ds"

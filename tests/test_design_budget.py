@@ -1,10 +1,13 @@
-"""Design-budget ratchet for the extraction data path, the rasterizer and
-the preprocessing scan pass (AST walk, no imports of the code under test).
+"""Design-budget ratchet for the extraction data path, the rasterizer,
+the preprocessing scan pass and the store writer (AST walk, no imports
+of the code under test).
 
-Four budgets, each of which some earlier state of the code blew
+Five budgets, each of which some earlier state of the code blew
 (``SimulatedCluster.extract`` had 433 body lines and a ``**legacy_kwargs``
 catch-all; ``core/query.py`` carried a second, knob-selected read
-strategy and ``parallel/`` a knob-selected shared-memory executor):
+strategy and ``parallel/`` a knob-selected shared-memory executor;
+``build_persistent_dataset`` had 184 body lines and a second,
+non-journaled writer, ``save_dataset``, beside it):
 
 * no function in the data-path modules exceeds ``MAX_BODY_LINES`` lines,
   docstring excluded;
@@ -13,7 +16,9 @@ strategy and ``parallel/`` a knob-selected shared-memory executor):
   back in;
 * the field sets of ``QueryOptions`` and ``ExtractRequest`` are pinned,
   so a new knob is a reviewed diff of this file;
-* the names of the deleted forks do not reappear in ``src/repro``.
+* the names of the deleted forks do not reappear in ``src/repro``;
+* exactly one site writes a dataset's index, and nothing outside ``io/``
+  reaches into a device's ``_buf``.
 """
 
 import ast
@@ -30,6 +35,8 @@ DATA_PATH_MODULES = (
     "render/rasterizer.py",
     "grid/metacell.py",
     "core/builder.py",
+    "core/persistence.py",
+    "core/timevarying.py",
     "mc/backends.py",
     *sorted(
         p.relative_to(SRC).as_posix()
@@ -53,10 +60,12 @@ OPTION_FIELDS = {
 }
 
 #: Names of the two deleted knob-selected forks (coalesced peek+replay
-#: reader, shared-memory triangulation pipeline).
+#: reader, shared-memory triangulation pipeline) and of the deleted
+#: second store writer with its callback and its side file.
 DELETED_FORK_NAMES = (
     "coalesce_gap_blocks", "charge_read", "PipelineOptions",
     "shared_memory", "supports_pipeline",
+    "save_dataset", "device_factory", "steps.txt",
 )
 
 #: module -> qualified names that must not grow a ``**`` parameter.
@@ -137,3 +146,19 @@ def test_deleted_forks_stay_deleted():
         if name in text
     ]
     assert not hits
+
+
+def test_one_store_writer():
+    """``index.npz`` is written at one site (the journaled builder's
+    publish step) and brick bytes leave a device through its API only."""
+    sources = {p.relative_to(SRC).as_posix(): p.read_text() for p in SRC.rglob("*.py")}
+    writers = [m for m, text in sources.items() for _ in range(text.count("savez_compressed("))]
+    assert writers == ["core/persistence.py"]
+    assert [m for m, text in sources.items() if "._buf" in text and not m.startswith("io/")] == []
+
+
+def test_time_series_takes_a_directory_not_a_callback():
+    init = dict(_functions("core/timevarying.py"))["TimeVaryingIndex.__init__"]
+    assert [a.arg for a in init.args.args] == [
+        "self", "p", "metacell_shape", "cost_model", "directory",
+    ]

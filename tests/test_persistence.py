@@ -1,6 +1,7 @@
 """Tests for index persistence (save/load dataset directories)."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from repro.core.persistence import (
     INDEX_FILE,
     META_FILE,
     build_persistent_dataset,
+    build_persistent_striped,
     load_dataset,
-    save_dataset,
     tree_from_arrays,
     tree_to_arrays,
 )
@@ -122,13 +123,6 @@ class TestDatasetDirectory:
         with pytest.raises(ValueError, match="format"):
             load_dataset(d)
 
-    def test_save_dataset_with_memory_device(self, tmp_path, sphere_volume):
-        """save_dataset on an in-memory dataset persists index+meta only."""
-        ds = build_indexed_dataset(sphere_volume, (5, 5, 5))
-        out = save_dataset(ds, tmp_path / "mem")
-        assert (out / INDEX_FILE).exists()
-        assert not (out / BRICKS_FILE).exists()
-
 
 class TestCumCrcCompat:
     """v1->v2 index compatibility: ``cum_crcs`` is a fast-path
@@ -190,3 +184,97 @@ class TestCumCrcCompat:
             assert ds.checksums.cum_crcs is not None
         finally:
             ds.device.close()
+
+
+class TestStripedBuild:
+    """``build_persistent_striped``: ``p`` journaled node builds in
+    ``node_<q>/`` sharing one plan."""
+
+    P = 3
+
+    @pytest.fixture()
+    def striped(self, tmp_path, sphere_volume):
+        nodes = build_persistent_striped(
+            sphere_volume, tmp_path / "st", self.P, metacell_shape=(5, 5, 5)
+        )
+        for ds in nodes:
+            ds.device.close()
+        return tmp_path / "st", nodes
+
+    def test_every_node_directory_passes_fsck_and_loads(self, striped, sphere_volume):
+        from repro.cli import main
+
+        directory, _ = striped
+        serial = build_indexed_dataset(sphere_volume, (5, 5, 5))
+        got = []
+        for q in range(self.P):
+            assert main(["fsck", "--json", str(directory / f"node_{q}")]) == 0
+            ds = load_dataset(directory / f"node_{q}")
+            assert (ds.node_rank, ds.n_cluster_nodes) == (q, self.P)
+            got.append(execute_query(ds, 0.62).records.ids)
+            ds.device.close()
+        assert np.array_equal(
+            np.sort(np.concatenate(got)),
+            np.sort(execute_query(serial, 0.62).records.ids),
+        )
+
+    def test_node_fingerprints_add_placement_to_one_shared_volume_crc(self, striped):
+        directory, _ = striped
+        prints = [
+            json.loads((directory / f"node_{q}" / META_FILE).read_text())["build_fingerprint"]
+            for q in range(self.P)
+        ]
+        assert [(f["node_rank"], f["n_cluster_nodes"]) for f in prints] == [
+            (q, self.P) for q in range(self.P)
+        ]
+        assert len({f["volume_crc"] for f in prints}) == 1
+        assert sum(f["n_records"] for f in prints) == load_dataset(
+            directory / "node_0"
+        ).report.n_metacells_stored
+
+    def test_one_partition_pass_and_one_volume_crc(
+        self, tmp_path, sphere_volume, monkeypatch
+    ):
+        from repro.core import builder, persistence
+
+        calls = {"partition": 0, "fingerprint": 0}
+
+        def counted(name, fn):
+            def wrapper(*a, **k):
+                calls[name] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(
+            builder, "partition_metacells",
+            counted("partition", builder.partition_metacells),
+        )
+        monkeypatch.setattr(
+            persistence, "build_fingerprint",
+            counted("fingerprint", persistence.build_fingerprint),
+        )
+        for ds in build_persistent_striped(sphere_volume, tmp_path, 4, (5, 5, 5)):
+            ds.device.close()
+        assert calls == {"partition": 1, "fingerprint": 1}
+
+    def test_rerun_loads_committed_nodes_and_rebuilds_a_removed_one(
+        self, striped, sphere_volume
+    ):
+        directory, first = striped
+        shutil.rmtree(directory / "node_1")
+        kept = {
+            p: p.stat().st_mtime_ns
+            for q in (0, 2) for p in (directory / f"node_{q}").iterdir()
+        }
+        again = build_persistent_striped(
+            sphere_volume, directory, self.P, metacell_shape=(5, 5, 5)
+        )
+        assert {p: p.stat().st_mtime_ns for p in kept} == kept
+        for a, b in zip(first, again):
+            assert np.array_equal(a.tree.record_ids, b.tree.record_ids)
+            assert np.array_equal(a.checksums.cum_crcs, b.checksums.cum_crcs)
+            b.device.close()
+
+    def test_invalid_node_count(self, tmp_path, sphere_volume):
+        with pytest.raises(ValueError, match="node count"):
+            build_persistent_striped(sphere_volume, tmp_path, 0)

@@ -25,6 +25,7 @@ from repro.core.persistence import (
     META_FILE,
     build_fingerprint,
     build_persistent_dataset,
+    build_persistent_striped,
 )
 from repro.core.streaming import VolumeSlabSource, build_indexed_dataset_streaming
 from repro.grid.volume import Volume
@@ -133,6 +134,24 @@ def test_striped_replicated_build(volume):
 def test_persistent_build(volume, tmp_path):
     build_persistent_dataset(volume, tmp_path, MC, group_records=GROUP_RECORDS)
     assert directory_digests(tmp_path) == PINS["persistent"]
+
+
+def test_persistent_striped_build_equals_in_memory_stripes(volume, tmp_path):
+    """No new digests: persisted stripe ``q`` holds the bricks and the
+    checksum tables of in-memory ``build_striped_datasets`` node ``q``
+    (whose concatenation, with replicas, is the ``"striped"`` pin)."""
+    persisted = build_persistent_striped(
+        volume, tmp_path, 4, MC, group_records=GROUP_RECORDS
+    )
+    for q, (disk, mem) in enumerate(zip(persisted, build_striped_datasets(volume, 4, MC))):
+        assert (disk.node_rank, disk.n_cluster_nodes) == (q, 4)
+        assert disk.source_dir == str(tmp_path / f"node_{q}")
+        assert (tmp_path / f"node_{q}" / BRICKS_FILE).read_bytes() == bytes(
+            mem.device.peek(0, mem.device.size)
+        )
+        for table in ("record_crcs", "brick_crcs", "cum_crcs"):
+            a, b = getattr(disk.checksums, table), getattr(mem.checksums, table)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (q, table)
 
 
 @pytest.mark.parametrize("point", ["group_flushed:1", "bricks_renamed"])

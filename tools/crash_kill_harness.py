@@ -2,10 +2,15 @@
 """Randomized crash-kill harness for the journaled builder.
 
 Repeatedly kills :func:`repro.core.persistence.build_persistent_dataset`
-at randomized journal/commit points (via
+— and, for the striped and time-series configs,
+:func:`~repro.core.persistence.build_persistent_striped` into the
+``step_<t>/node_<q>/`` layout of a
+:class:`~repro.core.timevarying.TimeVaryingIndex` directory — at
+randomized journal/commit points (via
 :class:`repro.io.faults.CrashSchedule`), resumes the build, and asserts
 the resumed artifacts are **byte-identical** to an uninterrupted
-reference build — then runs a deep verify (the fsck core) on the result.
+reference build — then runs a deep verify (the fsck core) on every node
+directory of the result.
 
 Three trial flavors, mixed by seeded RNG:
 
@@ -55,8 +60,9 @@ from repro.core.persistence import (  # noqa: E402
     INDEX_FILE,
     META_FILE,
     build_persistent_dataset,
-    load_dataset,
+    build_persistent_striped,
 )
+from repro.core.timevarying import TimeVaryingIndex  # noqa: E402
 from repro.core.validation import verify_dataset  # noqa: E402
 from repro.grid.volume import Volume  # noqa: E402
 from repro.io.faults import CrashSchedule, SimulatedCrash  # noqa: E402
@@ -64,13 +70,18 @@ from repro.io.faults import CrashSchedule, SimulatedCrash  # noqa: E402
 #: Artifacts whose bytes must match the reference build exactly.
 ARTIFACTS = (BRICKS_FILE, INDEX_FILE, META_FILE)
 
-#: (volume shape, metacell shape, group_records, volume seed) — three
+#: (volume shape, metacell shape, group_records, volume seed, layout) —
 #: differently-shaped builds so kill points land across varied group
-#: counts and partial-tail sizes.
+#: counts and partial-tail sizes.  ``layout`` ``None`` is the flat serial
+#: build; ``(steps, p)`` is a series of ``steps`` time steps (volume
+#: seeds ``seed``, ``seed + 1``, ...) each striped over ``p`` nodes, its
+#: kill points those of all ``steps * p`` node builds in order.
 CONFIGS = (
-    ((25, 25, 21), (5, 5, 5), 32, 11),
-    ((33, 33, 29), (5, 5, 5), 48, 12),
-    ((17, 17, 17), (4, 4, 4), 16, 13),
+    ((25, 25, 21), (5, 5, 5), 32, 11, None),
+    ((33, 33, 29), (5, 5, 5), 48, 12, None),
+    ((17, 17, 17), (4, 4, 4), 16, 13, None),
+    ((17, 17, 17), (4, 4, 4), 16, 14, (1, 3)),
+    ((17, 17, 17), (4, 4, 4), 32, 15, (2, 2)),
 )
 
 
@@ -86,36 +97,44 @@ def make_volume(shape, seed) -> Volume:
 
 
 def artifact_hashes(directory: Path) -> "dict[str, str]":
-    out = {}
-    for name in ARTIFACTS:
-        out[name] = hashlib.sha256((directory / name).read_bytes()).hexdigest()
-    return out
+    """Digest of every artifact under ``directory``, by relative path."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.name in ARTIFACTS
+    }
 
 
-def clear_dir(directory: Path) -> None:
-    for entry in directory.iterdir():
-        entry.unlink()
+def build(ref: dict, directory: Path, crash=None) -> list:
+    """One build of config ``ref`` into ``directory``; its node datasets."""
+    knobs = {"group_records": ref["gr"], "crash": crash}
+    if ref["layout"] is None:
+        return [build_persistent_dataset(
+            ref["volumes"][0], directory, ref["mc"], **knobs
+        )]
+    return [
+        ds
+        for t, volume in enumerate(ref["volumes"])
+        for ds in build_persistent_striped(
+            volume, directory / f"step_{t:04d}", ref["layout"][1], ref["mc"],
+            **knobs,
+        )
+    ]
 
 
-def run_to_crash(volume, directory, mc, gr, kill_at: int, hard: bool) -> bool:
+def run_to_crash(ref: dict, directory: Path, kill_at: int, hard: bool) -> bool:
     """One killed build attempt; returns True iff the kill fired."""
     if hard:
         pid = os.fork()
         if pid == 0:  # child: die for real at the kill point
             try:
-                build_persistent_dataset(
-                    volume, directory, mc, group_records=gr,
-                    crash=CrashSchedule(kill_at=kill_at, hard=True),
-                )
+                build(ref, directory, CrashSchedule(kill_at=kill_at, hard=True))
             finally:  # pragma: no cover - only if the point never fired
                 os._exit(0)
         _, status = os.waitpid(pid, 0)
         return os.waitstatus_to_exitcode(status) == 137
     try:
-        build_persistent_dataset(
-            volume, directory, mc, group_records=gr,
-            crash=CrashSchedule(kill_at=kill_at),
-        )
+        build(ref, directory, CrashSchedule(kill_at=kill_at))
         return False
     except SimulatedCrash:
         return True
@@ -147,27 +166,27 @@ def main(argv=None) -> int:
         # Per config: an uninterrupted reference build + its hashes and
         # the size of the kill-point space.
         refs = []
-        for ci, (shape, mc, gr, vseed) in enumerate(CONFIGS):
-            volume = make_volume(shape, vseed)
-            ref_dir = root / f"ref{ci}"
-            ref_dir.mkdir()
-            probe = CrashSchedule(kill_at=None)
-            build_persistent_dataset(
-                volume, ref_dir, mc, group_records=gr, crash=probe
-            )
-            refs.append({
-                "volume": volume,
+        for ci, (shape, mc, gr, vseed, layout) in enumerate(CONFIGS):
+            ref = {
+                "volumes": [
+                    make_volume(shape, vseed + t)
+                    for t in range(layout[0] if layout else 1)
+                ],
                 "mc": mc,
                 "gr": gr,
-                "hashes": artifact_hashes(ref_dir),
-                "n_points": probe.points_seen,
-            })
+                "layout": layout,
+            }
+            probe = CrashSchedule(kill_at=None)
+            for ds in build(ref, root / f"ref{ci}", probe):
+                ds.device.close()
+            ref["hashes"] = artifact_hashes(root / f"ref{ci}")
+            ref["n_points"] = probe.points_seen
+            refs.append(ref)
             if not args.quiet:
-                print(f"config {ci}: shape={shape} "
+                print(f"config {ci}: shape={shape} layout={layout} "
                       f"kill points={probe.points_seen}")
 
         trial_dir = root / "trial"
-        trial_dir.mkdir()
         # The kill schedule comes from the chaos engine's scheduler —
         # one seeded drawing shared with `repro chaos`, so the same
         # (seed, trials) pair replays the same kills everywhere.
@@ -179,25 +198,22 @@ def main(argv=None) -> int:
             t = kt.trial
             ref = refs[kt.config_index]
 
-            clear_dir(trial_dir)
-            fired = run_to_crash(
-                ref["volume"], trial_dir, ref["mc"], ref["gr"],
-                kt.kill_at, kt.hard,
-            )
+            shutil.rmtree(trial_dir, ignore_errors=True)
+            fired = run_to_crash(ref, trial_dir, kt.kill_at, kt.hard)
             if kt.double:
                 # Crash again while *resuming*; any surviving point works.
-                run_to_crash(
-                    ref["volume"], trial_dir, ref["mc"], ref["gr"],
-                    kt.second_kill, False,
-                )
-            ds = build_persistent_dataset(
-                ref["volume"], trial_dir, ref["mc"], group_records=ref["gr"]
-            )
-            hashes = artifact_hashes(trial_dir)
-            identical = hashes == ref["hashes"]
-            report = verify_dataset(ds, deep=True)
-            clean = report.ok
-            journal_gone = not (trial_dir / JOURNAL_FILE).exists()
+                run_to_crash(ref, trial_dir, kt.second_kill, False)
+            datasets = build(ref, trial_dir)
+            identical = artifact_hashes(trial_dir) == ref["hashes"]
+            clean = all(verify_dataset(ds, deep=True).ok for ds in datasets)
+            for ds in datasets:
+                ds.device.close()
+            if ref["layout"] is not None:
+                # The node directories are a loadable series.
+                series = TimeVaryingIndex.load(trial_dir)
+                clean = clean and len(series) == len(ref["volumes"])
+                series.close()
+            journal_gone = not list(trial_dir.rglob(JOURNAL_FILE))
             ok = identical and clean and journal_gone
             failures += 0 if ok else 1
             trials.append({
@@ -232,8 +248,9 @@ def main(argv=None) -> int:
         "elapsed_seconds": round(elapsed, 3),
         "configs": [
             {"shape": list(shape), "metacell": list(mc),
-             "group_records": gr, "kill_points": refs[ci]["n_points"]}
-            for ci, (shape, mc, gr, _s) in enumerate(CONFIGS)
+             "group_records": gr, "layout": layout,
+             "kill_points": refs[ci]["n_points"]}
+            for ci, (shape, mc, gr, _s, layout) in enumerate(CONFIGS)
         ],
     }
     if args.json is not None:
