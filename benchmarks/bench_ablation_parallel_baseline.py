@@ -39,8 +39,7 @@ def test_ablation_parallel_baseline(benchmark, cfg):
         lambda: execute_query(ds, float(cfg.isovalues[3])), rounds=3, iterations=1
     )
 
-    from repro.mc.marching_cubes import _CORNER_OFFSETS
-    from repro.mc.tables import N_TRI
+    from repro.mc.tables import CORNERS, N_TRI
 
     def per_record_triangles(values: np.ndarray, lam: float) -> np.ndarray:
         """Exact triangle count each metacell will emit."""
@@ -48,7 +47,7 @@ def test_ablation_parallel_baseline(benchmark, cfg):
         pos = v > lam
         b, nx, ny, nz = v.shape
         case = np.zeros((b, nx - 1, ny - 1, nz - 1), dtype=np.uint16)
-        for bit, (dx, dy, dz) in enumerate(_CORNER_OFFSETS):
+        for bit, (dx, dy, dz) in enumerate(CORNERS.astype(int)):
             case |= (
                 pos[:, dx : nx - 1 + dx, dy : ny - 1 + dy, dz : nz - 1 + dz]
                 .astype(np.uint16) << bit

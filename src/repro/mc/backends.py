@@ -13,14 +13,14 @@ surface for the same metacell set.
 Built-in backends
 -----------------
 ``mc-batch``
-    The second-generation vectorized Marching Cubes batch kernel
+    The vectorized Marching Cubes batch kernel
     (:func:`repro.mc.marching_cubes.marching_cubes_batch`).  Exact: its
     output is bit-identical to serial per-cell MC, so it is the default
     and the reference everything else is tested against.
 ``surface-nets``
     The sign-driven dual kernel
     (:func:`repro.mc.surface_nets.surface_nets_batch`) — same topology,
-    smoothed/decimated geometry, roughly twice the throughput.
+    smoothed/decimated geometry, ~40% fewer vertices.
 
 The registry is append-only process state; tests register throwaway
 backends and remove them with :func:`unregister_backend`.

@@ -11,12 +11,12 @@ neighbours, clamped to stay inside their own cell — a smoothed,
 lower-tessellation surface with the same topology as MC.  The trade-offs
 are catalogued in docs/PERFMODEL.md ("Extraction kernels").
 
-The kernel is sign-driven: apart from the ``values > iso`` comparison it
-never touches the scalar field, so there is no per-edge interpolation,
-no case table, and no triangle gather — the phase costs are a handful of
+The kernel is sign-driven: apart from the one sign test it shares with
+Marching Cubes (:func:`repro.mc.marching_cubes.above_iso`) it never
+touches the scalar field, so there is no per-edge interpolation, no case
+table, and no triangle gather — the phase costs are a handful of
 separable passes over the payload plus integer index arithmetic on the
-crossing edges.  That is what makes it substantially faster than even
-the second-generation MC batch path.
+crossing edges.
 
 The extractor is built for the out-of-core batch shape
 (:func:`surface_nets_batch` mirrors
@@ -56,16 +56,21 @@ pieces.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.mc.geometry import TriangleMesh
-from repro.mc.marching_cubes import DEFAULT_BATCH_CHUNK, _apply_world_transform
+from repro.mc.marching_cubes import (
+    DEFAULT_BATCH_CHUNK,
+    _apply_world_transform,
+    above_iso,
+)
 
 #: Default number of constrained-Laplacian relaxation sweeps applied to
 #: the cell-center vertices.  The default is 0 — the discrete
-#: (VTK-``SurfaceNets3D``-style) surface, which is what makes this
-#: backend ~2x faster than MC; each sweep adds roughly 25% kernel time
-#: and removes most of the staircase aliasing.
+#: (VTK-``SurfaceNets3D``-style) surface; each sweep adds roughly 25%
+#: kernel time and removes most of the staircase aliasing.
 DEFAULT_RELAX_ITERS = 0
 
 #: Blend factor per sweep: ``v <- (1 - a) * v + a * mean(neighbours)``,
@@ -112,16 +117,28 @@ def _local_site_grid(nx, ny, nz, sx, sy, dtype):
     return loc
 
 
-def _lattice_frame(origins: np.ndarray, mshape):
-    """Ghost-padded bounding-box frame of the batch in lattice units.
+class _Frame(NamedTuple):
+    """Ghost-padded bounding-box lattice of one batch; all phase 1/2 ids
+    are flat indices into it."""
 
-    Returns ``(rel, dims, lo)``: per-metacell origins in the padded
-    bounding-box lattice (one ghost layer on every side, so adjacency
-    stencils of boundary cells never wrap), the padded per-axis site
-    counts, and the minimal global vertex coordinate (to restore
-    absolute placement after decoding).  All phase 1/2 ids are flat
-    indices into this ``dims`` lattice.
-    """
+    #: Per-metacell origins in the padded lattice.
+    rel: np.ndarray
+    #: Minimal global vertex coordinate (restores absolute placement).
+    lo: np.ndarray
+    #: Flat strides of the x and y axes (z is 1) and the site count.
+    sx: int
+    sy: int
+    grid_n: int
+    #: Whether the dense int32 cell lattice is materialized, and the id
+    #: dtype that goes with it.
+    dense: bool
+    id_dtype: type
+
+
+def _lattice_frame(origins: np.ndarray, mshape) -> _Frame:
+    """Ghost-padded bounding-box frame of the batch in lattice units
+    (one ghost layer on every side, so adjacency stencils of boundary
+    cells never wrap)."""
     org = np.rint(origins).astype(np.int64)
     if not np.array_equal(org, np.asarray(origins, dtype=np.float64)):
         raise ValueError(
@@ -130,7 +147,12 @@ def _lattice_frame(origins: np.ndarray, mshape):
         )
     lo = org.min(axis=0)
     dims = org.max(axis=0) - lo + np.asarray(mshape, dtype=np.int64) + 2
-    return org - lo + 1, dims, lo
+    grid_n = int(dims[0] * dims[1] * dims[2])
+    dense = grid_n <= _DENSE_GRID_CAP
+    return _Frame(
+        org - lo + 1, lo, int(dims[1] * dims[2]), int(dims[2]), grid_n,
+        dense, np.int32 if dense else np.int64,
+    )
 
 
 def _sn_chunk_arrays(values: np.ndarray, iso: float, rel: np.ndarray, sx, sy, id_dtype):
@@ -144,20 +166,7 @@ def _sn_chunk_arrays(values: np.ndarray, iso: float, rel: np.ndarray, sx, sy, id
     edge's low end.
     """
     b, nx, ny, nz = values.shape
-    if values.dtype.kind in "ui":
-        # Integer payloads (e.g. quantized uint8 codecs) admit a native
-        # integer sign test: v > iso  <=>  v >= floor(iso) + 1, avoiding
-        # a float promotion of the whole chunk.
-        thr = int(np.floor(iso)) + 1
-        info = np.iinfo(values.dtype)
-        if thr <= info.min:
-            pos = np.ones(values.shape, dtype=bool)
-        elif thr > info.max:
-            pos = np.zeros(values.shape, dtype=bool)
-        else:
-            pos = values >= values.dtype.type(thr)
-    else:
-        pos = values > iso
+    pos = above_iso(values, iso)
 
     loc = _local_site_grid(nx, ny, nz, sx, sy, id_dtype)
     rel = rel.astype(id_dtype)
@@ -208,6 +217,137 @@ def _relax_vertices(verts, nbr3, inv_deg, floor_c, iters):
     return verts
 
 
+def _collect_chunks(values, iso, frame, chunk):
+    """Phase 1 over every chunk: ``(cell_flat, edge_parts, orient_parts)``
+    — all cell sites in stream order, and per axis family the chunks'
+    owned crossing edges with their orientation bits."""
+    site_parts = []
+    edge_parts = [[] for _ in range(3)]
+    orient_parts = [[] for _ in range(3)]
+    for s in range(0, len(values), chunk):
+        e = min(s + chunk, len(values))
+        site_flat, edges = _sn_chunk_arrays(
+            values[s:e], iso, frame.rel[s:e], frame.sx, frame.sy, frame.id_dtype
+        )
+        site_parts.append(site_flat)
+        for axis in range(3):
+            edge_parts[axis].append(edges[axis][0])
+            orient_parts[axis].append(edges[axis][1])
+    cell_flat = site_parts[0] if len(site_parts) == 1 else np.concatenate(site_parts)
+    return cell_flat, edge_parts, orient_parts
+
+
+def _cell_resolver(cell_flat, frame):
+    """Cell-id resolution: ``(lut, resolve)``.
+
+    Dense int32 lattice when the bounding box is affordable, sorted
+    binary search otherwise (``lut`` is then None).  Cells tile space, so
+    cell_flat has no duplicates; every batch cell is registered and the
+    quad-survivor compaction keeps only the active ones.  Ghost slots are
+    never registered, so off-batch stencil probes resolve to "absent".
+    """
+    n_cells = len(cell_flat)
+    if frame.dense:
+        lut = np.full(frame.grid_n, -1, dtype=np.int32)
+        lut[cell_flat] = np.arange(n_cells, dtype=np.int32)
+
+        def resolve(cand):
+            got = lut[cand]
+            return got, got >= 0
+
+        return lut, resolve
+
+    order = np.argsort(cell_flat)
+    sorted_flat = cell_flat[order]
+
+    def resolve(cand):
+        idx = np.searchsorted(sorted_flat, cand)
+        np.minimum(idx, n_cells - 1, out=idx)
+        found = sorted_flat[idx] == cand
+        return order[idx], found
+
+    return None, resolve
+
+
+def _surviving_quads(edge_parts, orient_parts, frame, lut, resolve):
+    """One wound quad per crossing edge: ``(cells, orient)`` of the quads
+    whose four adjacent cells are all in the batch, or None.
+
+    The three axis families are resolved in a single batched pass: an
+    edge's four adjacent-cell offsets depend only on its axis, so with
+    the edges grouped by axis the (E, 4) offset table is a row-repeat of
+    three 4-entry stencils.
+    """
+    sx, sy = frame.sx, frame.sy
+    flat_parts, oflat_parts, stencils, counts = [], [], [], []
+    for axis in range(3):
+        parts = edge_parts[axis]
+        flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        if len(flat) == 0:
+            continue
+        oparts = orient_parts[axis]
+        flat_parts.append(flat)
+        oflat_parts.append(oparts[0] if len(oparts) == 1 else np.concatenate(oparts))
+        bc = ((sy, 1), (1, sx), (sx, sy))[axis]
+        stencils.append([db * bc[0] + dc * bc[1] for db, dc in _QUAD_CELL_STEPS])
+        counts.append(len(flat))
+    if not flat_parts:
+        return None
+    flat_all = flat_parts[0] if len(flat_parts) == 1 else np.concatenate(flat_parts)
+    orient_all = oflat_parts[0] if len(oflat_parts) == 1 else np.concatenate(oflat_parts)
+    offs = np.repeat(np.asarray(stencils, dtype=frame.id_dtype), counts, axis=0)
+    if lut is not None:
+        # All four cells present <=> no -1 in the row <=> OR of the four
+        # sign bits clear — no intermediate (E, 4) found mask needed.
+        cells = lut[flat_all[:, None] + offs]
+        keep = cells[:, 0] | cells[:, 1]
+        keep |= cells[:, 2]
+        keep |= cells[:, 3]
+        keep = keep >= 0
+    else:
+        cells, found = resolve(flat_all[:, None] + offs)
+        keep = found[:, 0] & found[:, 1]
+        keep &= found[:, 2]
+        keep &= found[:, 3]
+    cells = np.compress(keep, cells, axis=0)
+    if len(cells) == 0:
+        return None
+    return cells, np.compress(keep, orient_all)
+
+
+def _relax_cell_centers(verts, floor_c, flat_used, used, remap, resolve, frame, iters):
+    """Face-neighbour tables of the active cells, then
+    :func:`_relax_vertices` in place on ``verts``."""
+    n_used = len(flat_used)
+    sx, sy = frame.sx, frame.sy
+    steps6 = np.array([sx, -sx, sy, -sy, 1, -1], dtype=frame.id_dtype)
+    if frame.dense:
+        # A fresh lattice resolving straight to *compact active*
+        # vertex ids (a fresh memset is far cheaper than a sparse
+        # reset of the registration lattice), removing the
+        # used[]/remap[] gathers from the neighbour probe.
+        lut_v = np.full(frame.grid_n, -1, dtype=np.int32)
+        lut_v[flat_used] = np.arange(n_used, dtype=np.int32)
+        nbr6 = lut_v[steps6[:, None] + flat_used[None, :]]
+        found6 = nbr6 >= 0
+        nbr6[~found6] = n_used
+    else:
+        got6, found6 = resolve(steps6[:, None] + flat_used[None, :])
+        found6 &= used[got6]
+        nbr6 = np.where(found6, remap[got6], n_used)
+    deg = np.add.reduce(found6, axis=0)
+    np.maximum(deg, 1, out=deg)
+    inv_deg = (_RELAX_ALPHA / deg)[:, None]
+    nbr6 *= 3
+    nbr3 = np.empty((6, n_used, 3), dtype=nbr6.dtype)
+    nbr3[:, :, 0] = nbr6
+    nbr3[:, :, 1] = nbr6
+    nbr3[:, :, 2] = nbr6
+    nbr3[:, :, 1] += 1
+    nbr3[:, :, 2] += 2
+    _relax_vertices(verts, nbr3.reshape(6, -1), inv_deg, floor_c, iters)
+
+
 def _extract_sn_chunks(
     values: np.ndarray,
     iso: float,
@@ -224,90 +364,16 @@ def _extract_sn_chunks(
     values = np.asarray(values)
     if len(values) == 0:
         return TriangleMesh()
-    rel, dims, lo = _lattice_frame(origins, values.shape[1:])
-    sx = int(dims[1] * dims[2])
-    sy = int(dims[2])
-    grid_n = int(dims[0] * dims[1] * dims[2])
-    dense = grid_n <= _DENSE_GRID_CAP
-    id_dtype = np.int32 if dense else np.int64
+    frame = _lattice_frame(origins, values.shape[1:])
+    sx, sy = frame.sx, frame.sy
 
-    site_parts = []
-    edge_parts = [[] for _ in range(3)]
-    orient_parts = [[] for _ in range(3)]
-    for s in range(0, len(values), chunk):
-        e = min(s + chunk, len(values))
-        site_flat, edges = _sn_chunk_arrays(
-            values[s:e], iso, rel[s:e], sx, sy, id_dtype
-        )
-        site_parts.append(site_flat)
-        for axis in range(3):
-            edge_parts[axis].append(edges[axis][0])
-            orient_parts[axis].append(edges[axis][1])
-
-    cell_flat = site_parts[0] if len(site_parts) == 1 else np.concatenate(site_parts)
+    cell_flat, edge_parts, orient_parts = _collect_chunks(values, iso, frame, chunk)
     n_cells = len(cell_flat)
-
-    # Cell-id resolution: dense int32 lattice when the bounding box is
-    # affordable, sorted binary search otherwise.  Cells tile space, so
-    # cell_flat has no duplicates; every batch cell is registered and
-    # the quad-survivor compaction below keeps only the active ones.
-    # Ghost slots are never registered, so off-batch stencil probes
-    # resolve to "absent".
-    if dense:
-        lut = np.full(grid_n, -1, dtype=np.int32)
-        lut[cell_flat] = np.arange(n_cells, dtype=np.int32)
-
-        def resolve(cand):
-            got = lut[cand]
-            return got, got >= 0
-    else:
-        order = np.argsort(cell_flat)
-        sorted_flat = cell_flat[order]
-
-        def resolve(cand):
-            idx = np.searchsorted(sorted_flat, cand)
-            np.minimum(idx, n_cells - 1, out=idx)
-            found = sorted_flat[idx] == cand
-            return order[idx], found
-
-    # One wound quad per crossing edge.  The three axis families are
-    # resolved in a single batched pass: an edge's four adjacent-cell
-    # offsets depend only on its axis, so with the edges grouped by axis
-    # the (E, 4) offset table is a row-repeat of three 4-entry stencils.
-    flat_parts, oflat_parts, stencils, counts = [], [], [], []
-    for axis in range(3):
-        parts = edge_parts[axis]
-        flat = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        if len(flat) == 0:
-            continue
-        oparts = orient_parts[axis]
-        flat_parts.append(flat)
-        oflat_parts.append(oparts[0] if len(oparts) == 1 else np.concatenate(oparts))
-        bc = ((sy, 1), (1, sx), (sx, sy))[axis]
-        stencils.append([db * bc[0] + dc * bc[1] for db, dc in _QUAD_CELL_STEPS])
-        counts.append(len(flat))
-    if not flat_parts:
+    lut, resolve = _cell_resolver(cell_flat, frame)
+    quads = _surviving_quads(edge_parts, orient_parts, frame, lut, resolve)
+    if quads is None:
         return TriangleMesh()
-    flat_all = flat_parts[0] if len(flat_parts) == 1 else np.concatenate(flat_parts)
-    orient_all = oflat_parts[0] if len(oflat_parts) == 1 else np.concatenate(oflat_parts)
-    offs = np.repeat(np.asarray(stencils, dtype=id_dtype), counts, axis=0)
-    if dense:
-        # All four cells present <=> no -1 in the row <=> OR of the four
-        # sign bits clear — no intermediate (E, 4) found mask needed.
-        cells = lut[flat_all[:, None] + offs]
-        keep = cells[:, 0] | cells[:, 1]
-        keep |= cells[:, 2]
-        keep |= cells[:, 3]
-        keep = keep >= 0
-    else:
-        cells, found = resolve(flat_all[:, None] + offs)
-        keep = found[:, 0] & found[:, 1]
-        keep &= found[:, 2]
-        keep &= found[:, 3]
-    cells = np.compress(keep, cells, axis=0)
-    if len(cells) == 0:
-        return TriangleMesh()
-    o = np.compress(keep, orient_all)
+    cells, o = quads
 
     # Compact to the cells actually referenced by surviving quads: those
     # are exactly the sign-mixed cells the surface passes through.
@@ -328,7 +394,7 @@ def _extract_sn_chunks(
     rem = flat_used - gx * sx
     gy = rem // sy
     gz = rem - gy * sy
-    off = lo - 1
+    off = frame.lo - 1
     floor_c = np.empty((n_used, 3))
     floor_c[:, 0] = gx + off[0]
     floor_c[:, 1] = gy + off[1]
@@ -336,32 +402,9 @@ def _extract_sn_chunks(
     verts = floor_c + 0.5
 
     if relax_iters > 0:
-        steps6 = np.array([sx, -sx, sy, -sy, 1, -1], dtype=id_dtype)
-        if dense:
-            # A fresh lattice resolving straight to *compact active*
-            # vertex ids (a fresh memset is far cheaper than a sparse
-            # reset of the registration lattice), removing the
-            # used[]/remap[] gathers from the neighbour probe.
-            lut_v = np.full(grid_n, -1, dtype=np.int32)
-            lut_v[flat_used] = np.arange(n_used, dtype=np.int32)
-            nbr6 = lut_v[steps6[:, None] + flat_used[None, :]]
-            found6 = nbr6 >= 0
-            nbr6[~found6] = n_used
-        else:
-            got6, found6 = resolve(steps6[:, None] + flat_used[None, :])
-            found6 &= used[got6]
-            nbr6 = np.where(found6, remap[got6], n_used)
-        deg = np.add.reduce(found6, axis=0)
-        np.maximum(deg, 1, out=deg)
-        inv_deg = (_RELAX_ALPHA / deg)[:, None]
-        nbr6 *= 3
-        nbr3 = np.empty((6, n_used, 3), dtype=nbr6.dtype)
-        nbr3[:, :, 0] = nbr6
-        nbr3[:, :, 1] = nbr6
-        nbr3[:, :, 2] = nbr6
-        nbr3[:, :, 1] += 1
-        nbr3[:, :, 2] += 2
-        _relax_vertices(verts, nbr3.reshape(6, -1), inv_deg, floor_c, relax_iters)
+        _relax_cell_centers(
+            verts, floor_c, flat_used, used, remap, resolve, frame, relax_iters
+        )
 
     # Winding columns (c0, m1, c2, m2): the m1/m2 swap flips the quad
     # orientation; a single (Q, 4) gather then remaps to compact ids.

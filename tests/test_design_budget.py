@@ -1,13 +1,15 @@
 """Design-budget ratchet for the extraction data path, the rasterizer,
-the preprocessing scan pass and the store writer (AST walk, no imports
-of the code under test).
+the preprocessing scan pass, the store writer and the two extraction
+kernels (AST walk, no imports of the code under test).
 
 Five budgets, each of which some earlier state of the code blew
 (``SimulatedCluster.extract`` had 433 body lines and a ``**legacy_kwargs``
 catch-all; ``core/query.py`` carried a second, knob-selected read
 strategy and ``parallel/`` a knob-selected shared-memory executor;
 ``build_persistent_dataset`` had 184 body lines and a second,
-non-journaled writer, ``save_dataset``, beside it):
+non-journaled writer, ``save_dataset``, beside it; the ``mc-batch``
+kernel had 204 body lines over four index spaces and SurfaceNets' chunk
+driver 159):
 
 * no function in the data-path modules exceeds ``MAX_BODY_LINES`` lines,
   docstring excluded;
@@ -38,6 +40,8 @@ DATA_PATH_MODULES = (
     "core/persistence.py",
     "core/timevarying.py",
     "mc/backends.py",
+    "mc/marching_cubes.py",
+    "mc/surface_nets.py",
     *sorted(
         p.relative_to(SRC).as_posix()
         for pkg in ("parallel", "io")
@@ -60,12 +64,15 @@ OPTION_FIELDS = {
 }
 
 #: Names of the two deleted knob-selected forks (coalesced peek+replay
-#: reader, shared-memory triangulation pipeline) and of the deleted
-#: second store writer with its callback and its side file.
+#: reader, shared-memory triangulation pipeline), of the deleted second
+#: store writer with its callback and its side file, and of the
+#: ``mc-batch`` kernel's per-family edge grids (scratch object, gather
+#: tables and their module-level cache).
 DELETED_FORK_NAMES = (
     "coalesce_gap_blocks", "charge_read", "PipelineOptions",
     "shared_memory", "supports_pipeline",
     "save_dataset", "device_factory", "steps.txt",
+    "_BatchScratch", "_GATHER_TABLE_CACHE", "_edge_gather_tables",
 )
 
 #: module -> qualified names that must not grow a ``**`` parameter.
