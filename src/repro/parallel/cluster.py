@@ -46,7 +46,7 @@ from repro.parallel.node import extract_node
 from repro.parallel.perfmodel import PAPER_CLUSTER, PerformanceModel
 from repro.parallel.scheduler import plan_speculation
 from repro.render.camera import Camera
-from repro.render.compositor import composite, direct_send
+from repro.render.compositor import PIXEL_PAYLOAD_BYTES, direct_send
 from repro.render.rasterizer import Framebuffer, render_mesh, render_mesh_smooth
 from repro.render.tiled_display import TileLayout
 
@@ -904,10 +904,12 @@ class SimulatedCluster:
         if q.req.render:
             n_msgs = self._render_and_composite(q, result, live)
         else:
-            # Analytic accounting: every live buffer ships once.
+            # Analytic accounting, the dense upper bound: with no frame
+            # there is no coverage to go on, so every live buffer ships
+            # all its pixels once.
             n_msgs = len(live)
             w, h = self.image_size
-            result.composite_bytes = n_msgs * w * h * 16
+            result.composite_bytes = n_msgs * w * h * PIXEL_PAYLOAD_BYTES
         result.composite_time = self.perf.network.transfer_time(
             result.composite_bytes, n_messages=n_msgs
         )
@@ -1152,7 +1154,7 @@ class SimulatedCluster:
             coverage = min((m.coverage for m in per_node), default=1.0)
 
         w, h = self.image_size
-        fb_bytes = w * h * 16  # RGB f32 + depth f32 readback
+        fb_bytes = w * h * PIXEL_PAYLOAD_BYTES  # readback
         for m in per_node:
             if m.failed:
                 m.render_time = 0.0
@@ -1180,11 +1182,10 @@ class SimulatedCluster:
     ) -> int:
         """Each live slot rasterizes its mesh into its own framebuffer
         (auto-framed unless the request carries a camera); the buffers
-        merge sort-last by plain z-composite or, with a tile layout,
-        direct-send.  Fills ``result.image`` / ``composite_bytes`` and
-        returns the message count."""
+        merge sort-last by direct send onto the request's tile layout,
+        or one whole-image tile without one.  Fills ``result.image`` /
+        ``composite_bytes`` and returns the message count."""
         req, dl, meshes = q.req, q.deadline, q.meshes
-        tile_layout = req.tile_layout
         cam = req.camera
         if cam is None:
             combined = TriangleMesh.concat([m for m in meshes if m.n_triangles])
@@ -1193,9 +1194,8 @@ class SimulatedCluster:
                     f"no geometry at isovalue {q.lam}; cannot auto-frame a camera"
                 )
             cam = Camera.fit_mesh(combined) if combined.n_triangles else None
-        w, h = self.image_size
-        if tile_layout is not None:
-            w, h = tile_layout.width, tile_layout.height
+        tile_layout = req.tile_layout or TileLayout(1, 1, *self.image_size)
+        w, h = tile_layout.width, tile_layout.height
         fbs = []
         for i in live:
             fb = Framebuffer(w, h)
@@ -1210,10 +1210,6 @@ class SimulatedCluster:
             result.image = Framebuffer(w, h)
             result.composite_bytes = 0
             return 0
-        if tile_layout is None:
-            result.image = composite(fbs)
-            result.composite_bytes = sum(fb.payload_bytes for fb in fbs)
-            return len(fbs)
         comp_budget = None
         if dl is not None:
             node_makespan = max((n.total_time for n in q.per_node), default=0.0)
@@ -1396,7 +1392,7 @@ class SimulatedCluster:
         w, h = self.image_size
         n_buffers = len(views)
         composite = self.perf.network.transfer_time(
-            n_buffers * w * h * 16, n_messages=n_buffers
+            n_buffers * w * h * PIXEL_PAYLOAD_BYTES, n_messages=n_buffers
         )
         return worst + composite
 

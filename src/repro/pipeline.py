@@ -26,6 +26,7 @@ from repro.parallel.metrics import NodeMetrics
 from repro.parallel.node import extract_node
 from repro.parallel.perfmodel import PAPER_CLUSTER, PerformanceModel
 from repro.render.camera import Camera
+from repro.render.compositor import PIXEL_PAYLOAD_BYTES
 from repro.render.rasterizer import Framebuffer, render_mesh, render_mesh_smooth
 
 
@@ -114,7 +115,9 @@ class IsosurfacePipeline:
         # nothing is rasterized here: total_time is the paper's
         # three-stage node time, GPU stage modeled from the triangles.
         w, h = image_size
-        metrics.render_time = self.perf.gpu.render_time(mesh.n_triangles, w * h * 16)
+        metrics.render_time = self.perf.gpu.render_time(
+            mesh.n_triangles, w * h * PIXEL_PAYLOAD_BYTES
+        )
 
         image = None
         if render and mesh.n_triangles:

@@ -1,18 +1,23 @@
 """Sort-last compositing (paper Section 6, [30]).
 
 Each node renders its local triangles, then the p framebuffers are merged
-by depth comparison.  Two classic schedules are implemented with full
-byte accounting, standing in for Chromium over InfiniBand:
+by depth comparison.  What travels is a :class:`RegionMessage`: for one
+image rectangle, a fixed header (:data:`REGION_HEADER_BYTES`) and, for
+the pixels the sender covered (``depth < inf``), their int32 local
+offsets, float32 depths and RGB float32 colors.  Background cannot win
+the receiver's strict ``<`` z-compare, so leaving it out changes no
+pixel; the bytes charged are the ``nbytes`` of what the receiver merges.
+Two classic schedules stand in for Chromium over InfiniBand:
 
-* **direct send** — every node sends each display tile's region of its
-  buffer to that tile's display server; each server z-merges p regions.
-* **binary swap** — log2(p) rounds of pairwise half-buffer exchanges,
-  after which each node owns a fully composited 1/p of the image and
-  sends it to the display.
+* **direct send** — every node sends one message per display tile to
+  that tile's display server; each server z-merges p messages.
+* **binary swap** — log2(p) rounds of pairwise exchanges of the half a
+  node gives away, after which each node owns a fully composited 1/p of
+  the image and sends it to the display.
 
-Both produce *exactly* the image of the reference :func:`composite`
-(z-min select), which the tests assert, while differing in who moves how
-many bytes — the subject of the compositing ablation bench.
+Both produce the image of the dense reference :func:`composite` (z-min
+select), which the tests assert, while differing in who moves how many
+bytes — the subject of the compositing ablation bench.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.chaos.netfaults import COORDINATOR
 from repro.obs.tracer import NULL_TRACER
 from repro.render.rasterizer import Framebuffer
 from repro.render.tiled_display import TileLayout
@@ -58,33 +64,68 @@ class CompositeStats:
         return int(max(self.bytes_sent_per_node, default=0))
 
 
-def _zmerge_into(dst_color, dst_depth, src_color, src_depth) -> None:
-    """In-place z-compare merge of one source buffer region into dst."""
-    win = src_depth < dst_depth
-    dst_depth[win] = src_depth[win]
-    dst_color[win] = src_color[win]
-
-
 def composite(framebuffers: "list[Framebuffer]") -> Framebuffer:
     """Reference z-min composite of p framebuffers (no communication
     accounting).  All buffers must share dimensions."""
     if not framebuffers:
         raise ValueError("need at least one framebuffer")
-    first = framebuffers[0]
+    out = framebuffers[0].copy()
     for fb in framebuffers[1:]:
-        if (fb.width, fb.height) != (first.width, first.height):
-            raise ValueError(
-                f"framebuffer size mismatch: {fb.width}x{fb.height} vs "
-                f"{first.width}x{first.height}"
-            )
-    out = first.copy()
-    for fb in framebuffers[1:]:
-        _zmerge_into(out.color, out.depth, fb.color, fb.depth)
+        if fb.depth.shape != out.depth.shape:
+            raise ValueError(f"framebuffer size mismatch: {fb.width}x{fb.height} "
+                             f"vs {out.width}x{out.height}")
+        win = fb.depth < out.depth
+        out.depth[win] = fb.depth[win]
+        out.color[win] = fb.color[win]
     return out
 
 
-#: Bytes per pixel shipped during compositing: RGB float32 + depth float32.
+#: Bytes per pixel of a dense framebuffer: RGB float32 + depth float32.
 PIXEL_PAYLOAD_BYTES = 16
+#: Fixed bytes per region message: sender, region and pixel count, padded.
+REGION_HEADER_BYTES = 16
+
+
+@dataclass(frozen=True)
+class RegionMessage:
+    """The covered pixels of one image rectangle, as put on the wire."""
+
+    rows: slice
+    cols: slice
+    offsets: np.ndarray  # int32, row-major within the rectangle
+    depth: np.ndarray
+    color: np.ndarray
+
+    @property
+    def nbytes(self) -> int:
+        return (REGION_HEADER_BYTES + self.offsets.nbytes
+                + self.depth.nbytes + self.color.nbytes)
+
+
+def _image_index(offsets, rows: slice, cols: slice, width: int):
+    """Row-major image index of rectangle-local offsets."""
+    w = cols.stop - cols.start
+    return offsets + offsets // w * (width - w) + (rows.start * width + cols.start)
+
+
+def pack_region(fb: Framebuffer, rows: slice, cols: slice) -> RegionMessage:
+    """Sender side: the pixels of ``fb[rows, cols]`` with ``depth < inf``."""
+    offsets = np.flatnonzero(fb.depth[rows, cols] < np.inf)
+    i = _image_index(offsets, rows, cols, fb.width)
+    return RegionMessage(rows, cols, offsets.astype(np.int32),
+                         fb.depth.reshape(-1).take(i),
+                         fb.color.reshape(-1, 3).take(i, axis=0))
+
+
+def merge_region(fb: Framebuffer, msg: RegionMessage) -> None:
+    """Receiver side: z-merge one message into ``fb``.  The compare is a
+    strict ``<``, so a pixel already there keeps a depth tie."""
+    depth, color = fb.depth.reshape(-1), fb.color.reshape(-1, 3)
+    i = _image_index(msg.offsets, msg.rows, msg.cols, fb.width)
+    win = np.flatnonzero(msg.depth < depth.take(i))
+    i = i.take(win)
+    depth[i] = msg.depth.take(win)
+    color[i] = msg.color.take(win, axis=0)
 
 
 def direct_send(
@@ -98,84 +139,57 @@ def direct_send(
 ) -> tuple[Framebuffer, CompositeStats]:
     """Direct-send compositing onto a tiled display.
 
-    Every rendering node ships, for each tile, the region of its buffer
-    covering that tile (the paper notes regions of the frame buffer
-    including z are forwarded to the appropriate rendering servers).
-    Display servers z-merge what they receive.  A node co-located with a
-    tile's display server still "sends" its own region; we count those
-    bytes too, as an upper bound (the paper's nodes overlap with display
-    nodes, making this conservative).
+    Every node packs one :class:`RegionMessage` per tile (its covered
+    pixels there) for that tile's display server, which z-merges them in
+    rank order; ``stats.bytes_sent_per_node`` sums their ``nbytes``.  A
+    node co-located with a display server is still charged its message.
 
-    ``budget`` (modeled seconds, requires ``interconnect`` with a
+    ``budget`` (modeled seconds; needs ``interconnect`` with a
     ``transfer_time(nbytes, n_messages)`` method) makes the composite
-    deadline-aware: node contributions are merged in rank order and once
-    the modeled transfer time for the *next* node's regions would exceed
-    the budget, that node and all later ones are dropped — the display
-    shows the frame it has rather than stalling on late buffers.
-    Dropped ranks are listed in ``stats.dropped_nodes``; without a
-    budget the result is byte-identical to the unbudgeted composite
-    (z-min merging is commutative for strict depth wins, and ties keep
-    rank order because merging proceeds in ascending rank).
-
-    ``network`` (a :class:`~repro.chaos.netfaults.NetworkSession`, or
-    None) subjects each node's tile-region message to the installed
-    fault plan: a duplicated message re-ships its bytes, a reordered or
-    delayed one charges resequencing latency against the budget, and a
-    message lost past the retry budget drops that node's contribution —
-    recorded in both ``stats.dropped_nodes`` and ``stats.lost_nodes``
-    so the caller can flag the frame degraded.  Contributions that do
-    arrive are merged in rank order regardless of wire reordering (the
-    transport resequences), keeping the recovered composite
-    bit-identical to the fault-free one.
+    deadline-aware: in rank order, a node whose messages would push the
+    projected transfer time past the budget is dropped (the first
+    contribution always lands) and listed in ``stats.dropped_nodes`` —
+    the display shows the frame it has rather than stall.  ``network``
+    (a :class:`~repro.chaos.netfaults.NetworkSession`, or None) subjects
+    each node's messages to its fault plan: a duplicate re-ships the
+    bytes, reorder or delay charges latency against the budget, and a
+    delivery lost past the retry budget drops the node into both
+    ``dropped_nodes`` and ``lost_nodes`` so the caller flags the frame
+    degraded.  Whatever arrives merges in rank order, so the image is
+    bit-identical to the dense z-min composite of the merged nodes.
     """
     p = len(framebuffers)
-    ref = framebuffers[0]
     for fb in framebuffers:
         if (fb.width, fb.height) != (layout.width, layout.height):
-            raise ValueError(
-                f"framebuffer {fb.width}x{fb.height} does not match tile layout "
-                f"{layout.width}x{layout.height}"
-            )
+            raise ValueError(f"framebuffer {fb.width}x{fb.height} does not match "
+                             f"tile layout {layout.width}x{layout.height}")
     if budget is not None and interconnect is None:
         raise ValueError("a composite budget needs an interconnect model")
-    stats = CompositeStats(schedule="direct-send", n_nodes=p, rounds=1)
-    stats.bytes_sent_per_node = [0] * p
-
-    node_bytes = sum(
-        (lambda rc: (rc[0].stop - rc[0].start) * (rc[1].stop - rc[1].start))(
-            layout.tile_slices(t)
-        )
-        * PIXEL_PAYLOAD_BYTES
-        for t in range(layout.n_tiles)
-    )
-    out = Framebuffer(ref.width, ref.height, ref.background)
-    sent_bytes = 0
-    sent_msgs = 0
+    stats = CompositeStats("direct-send", p, 1, [0] * p)
+    tiles = [layout.tile_slices(t) for t in range(layout.n_tiles)]
+    out = Framebuffer(layout.width, layout.height, framebuffers[0].background)
+    sent_bytes = sent_msgs = 0
     for q, fb in enumerate(framebuffers):
+        messages = [pack_region(fb, rows, cols) for rows, cols in tiles]
         copies = 1
         if network is not None:
-            from repro.chaos.netfaults import COORDINATOR
-
-            d = network.send(
-                q, COORDINATOR, tracer=tracer, track=track,
-                what="tile-regions",
-            )
+            d = network.send(q, COORDINATOR, tracer=tracer, track=track,
+                             what="tile-regions")
             if not d.delivered:
                 stats.dropped_nodes.append(q)
                 stats.lost_nodes.append(q)
                 tracer.instant(
-                    "chaos.net.contribution_lost", track=track,
-                    category="chaos",
-                    args={"rank": q, "attempts": d.attempts,
-                          "blocked": d.blocked},
+                    "chaos.net.contribution_lost", track=track, category="chaos",
+                    args={"rank": q, "attempts": d.attempts, "blocked": d.blocked},
                 )
                 continue
             copies = 1 + d.duplicates
             stats.net_delay_seconds += d.delay
+        node_bytes = sum(m.nbytes for m in messages) * copies
+        node_msgs = len(messages) * copies
         if budget is not None:
             projected = interconnect.transfer_time(
-                sent_bytes + node_bytes * copies,
-                sent_msgs + layout.n_tiles * copies,
+                sent_bytes + node_bytes, sent_msgs + node_msgs,
             ) + stats.net_delay_seconds
             # The first contribution always lands (an empty frame helps
             # nobody); later ones drop once the wire time would overrun.
@@ -187,20 +201,14 @@ def direct_send(
                           "budget": budget},
                 )
                 continue
-        sent_bytes += node_bytes * copies
-        sent_msgs += layout.n_tiles * copies
-        stats.bytes_sent_per_node[q] = node_bytes * copies
-        for t in range(layout.n_tiles):
-            rows, cols = layout.tile_slices(t)
-            _zmerge_into(
-                out.color[rows, cols], out.depth[rows, cols],
-                fb.color[rows, cols], fb.depth[rows, cols],
-            )
+        sent_bytes += node_bytes
+        sent_msgs += node_msgs
+        stats.bytes_sent_per_node[q] = node_bytes
+        for m in messages:
+            merge_region(out, m)
     if interconnect is not None:
-        stats.modeled_seconds = (
-            interconnect.transfer_time(sent_bytes, sent_msgs)
-            + stats.net_delay_seconds
-        )
+        stats.modeled_seconds = (interconnect.transfer_time(sent_bytes, sent_msgs)
+                                 + stats.net_delay_seconds)
     return out, stats
 
 
@@ -209,22 +217,21 @@ def binary_swap(
 ) -> tuple[Framebuffer, CompositeStats]:
     """Binary-swap compositing; requires a power-of-two node count.
 
-    In round r, partners exchange halves of their current region and each
-    z-merges the half it keeps; after log2(p) rounds node q owns the
-    fully composited row-strip q, which is gathered to the display.
+    In round r, partners exchange region messages for the halves of
+    their current row strip and each z-merges the half it keeps; after
+    log2(p) rounds node q owns the fully composited row-strip q, whose
+    message is gathered to the display.
     """
     p = len(framebuffers)
     if p == 0 or (p & (p - 1)) != 0:
         raise ValueError(f"binary swap needs a power-of-two node count, got {p}")
     ref = framebuffers[0]
-    h = ref.height
-    stats = CompositeStats(schedule="binary-swap", n_nodes=p)
-    stats.bytes_sent_per_node = [0] * p
+    stats = CompositeStats("binary-swap", p, 0, [0] * p)
 
     # Working copies; region[q] = (row_start, row_stop) owned by node q.
-    colors = [fb.color.copy() for fb in framebuffers]
-    depths = [fb.depth.copy() for fb in framebuffers]
-    region = [(0, h)] * p
+    bufs = [fb.copy() for fb in framebuffers]
+    region = [(0, ref.height)] * p
+    cols = slice(0, ref.width)
 
     step = 1
     while step < p:
@@ -236,18 +243,12 @@ def binary_swap(
             r0, r1 = region[q]
             mid = (r0 + r1) // 2
             # q keeps [r0, mid), partner keeps [mid, r1).
-            send_q = (r1 - mid) * ref.width * PIXEL_PAYLOAD_BYTES
-            send_p = (mid - r0) * ref.width * PIXEL_PAYLOAD_BYTES
-            stats.bytes_sent_per_node[q] += send_q
-            stats.bytes_sent_per_node[partner] += send_p
-            _zmerge_into(
-                colors[q][r0:mid], depths[q][r0:mid],
-                colors[partner][r0:mid], depths[partner][r0:mid],
-            )
-            _zmerge_into(
-                colors[partner][mid:r1], depths[partner][mid:r1],
-                colors[q][mid:r1], depths[q][mid:r1],
-            )
+            to_q = pack_region(bufs[partner], slice(r0, mid), cols)
+            to_partner = pack_region(bufs[q], slice(mid, r1), cols)
+            stats.bytes_sent_per_node[q] += to_partner.nbytes
+            stats.bytes_sent_per_node[partner] += to_q.nbytes
+            merge_region(bufs[q], to_q)
+            merge_region(bufs[partner], to_partner)
             region[q] = (r0, mid)
             region[partner] = (mid, r1)
         step *= 2
@@ -255,8 +256,7 @@ def binary_swap(
     # Final gather of each node's strip to the display.
     out = Framebuffer(ref.width, ref.height, ref.background)
     for q in range(p):
-        r0, r1 = region[q]
-        stats.bytes_sent_per_node[q] += (r1 - r0) * ref.width * PIXEL_PAYLOAD_BYTES
-        out.color[r0:r1] = colors[q][r0:r1]
-        out.depth[r0:r1] = depths[q][r0:r1]
+        msg = pack_region(bufs[q], slice(*region[q]), cols)
+        stats.bytes_sent_per_node[q] += msg.nbytes
+        merge_region(out, msg)
     return out, stats

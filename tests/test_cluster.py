@@ -7,6 +7,7 @@ from repro.grid.datasets import sphere_field
 from repro.grid.rm_instability import rm_timestep
 from repro.parallel.cluster import ExtractRequest, SimulatedCluster
 from repro.parallel.metrics import efficiency, speedup
+from repro.render.compositor import REGION_HEADER_BYTES
 from repro.render.tiled_display import TileLayout
 
 
@@ -144,7 +145,27 @@ class TestRendering:
             128.0, ExtractRequest(render=True, tile_layout=layout)
         )
         assert res.image is not None
-        assert res.composite_bytes == 4 * 256 * 256 * 16
+        # Each of the 4 nodes ships one message per tile: a header plus
+        # its covered pixels (16 payload + 4 address bytes each) — well
+        # under the 4 dense screens the display would otherwise receive.
+        header_bytes = 4 * 4 * REGION_HEADER_BYTES
+        assert (res.composite_bytes - header_bytes) % 20 == 0
+        assert header_bytes < res.composite_bytes < 4 * 256 * 256 * 16 // 10
+
+    def test_untiled_render_is_one_tile_direct_send(self, clusters):
+        """Without a layout the frame takes the same sparse transport
+        with one whole-image tile: same image, same bytes, same
+        messages as asking for that tile explicitly."""
+        whole = TileLayout(1, 1, *clusters[4].image_size)
+        a = clusters[4].extract(128.0, ExtractRequest(render=True))
+        b = clusters[4].extract(
+            128.0, ExtractRequest(render=True, tile_layout=whole)
+        )
+        assert np.array_equal(a.image.color, b.image.color)
+        assert np.array_equal(a.image.depth, b.image.depth)
+        assert a.composite_bytes == b.composite_bytes
+        assert a.composite_time == b.composite_time
+        assert 4 * REGION_HEADER_BYTES < a.composite_bytes < 4 * 64 * 64 * 16
 
     def test_render_without_geometry_raises(self, clusters):
         with pytest.raises(ValueError, match="no geometry"):

@@ -35,6 +35,7 @@ DATA_PATH_MODULES = (
     "core/query.py",
     "pipeline.py",
     "render/rasterizer.py",
+    "render/compositor.py",
     "grid/metacell.py",
     "core/builder.py",
     "core/persistence.py",
