@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.builder import FunctionSlabSource
 from repro.core.persistence import build_persistent_dataset, load_dataset
 from repro.core.query import QueryOptions, execute_query
 from repro.grid.rm_instability import rm_timestep
@@ -42,12 +43,16 @@ def _parse_shape(text: str) -> tuple[int, int, int]:
     return parts  # type: ignore[return-value]
 
 
+def _read_input(path, mmap_mode=None) -> np.ndarray:
+    data = np.load(path, mmap_mode=mmap_mode)
+    if data.ndim != 3:
+        raise SystemExit(f"error: {path} holds a {data.ndim}D array, need 3D")
+    return data
+
+
 def _load_volume(args) -> Volume:
     if args.input:
-        data = np.load(args.input)
-        if data.ndim != 3:
-            raise SystemExit(f"error: {args.input} holds a {data.ndim}D array, need 3D")
-        return Volume(data, name=Path(args.input).stem)
+        return Volume(_read_input(args.input), name=Path(args.input).stem)
     return rm_timestep(args.rm_step, shape=args.shape, seed=args.seed)
 
 
@@ -61,7 +66,16 @@ def _extract_mesh(dataset, iso: float) -> TriangleMesh:
 
 
 def cmd_preprocess(args) -> int:
-    volume = _load_volume(args)
+    if args.input:
+        # Memory-mapped and streamed one metacell layer at a time: the
+        # file is never read into memory whole.
+        data = _read_input(args.input, mmap_mode="r")
+        volume = FunctionSlabSource(
+            lambda x0, x1: data[x0:x1], data.shape, data.dtype,
+            name=Path(args.input).stem,
+        )
+    else:
+        volume = _load_volume(args)
     m = args.metacell
     dataset = build_persistent_dataset(volume, args.out, metacell_shape=(m, m, m))
     rep = dataset.report

@@ -25,7 +25,12 @@ Modules
 
 from repro.core.intervals import IntervalSet
 from repro.core.compact_tree import CompactIntervalTree, QueryPlan
-from repro.core.builder import IndexedDataset, build_indexed_dataset, build_striped_datasets
+from repro.core.builder import (
+    FunctionSlabSource,
+    IndexedDataset,
+    build_indexed_dataset,
+    build_striped_datasets,
+)
 from repro.core.external_tree import ExternalCompactIndex
 from repro.core.persistence import build_persistent_dataset, build_persistent_striped, load_dataset
 from repro.core.query import QueryOptions, QueryResult, execute_plan, execute_query
@@ -42,11 +47,6 @@ from repro.core.multi_query import (
     extract_region_of_interest,
 )
 from repro.core.span_space import SpanSpaceStats
-from repro.core.streaming import (
-    FunctionSlabSource,
-    VolumeSlabSource,
-    build_indexed_dataset_streaming,
-)
 from repro.core.unstructured_builder import (
     UnstructuredDataset,
     build_striped_unstructured,
@@ -79,8 +79,6 @@ __all__ = [
     "suggest_isovalues",
     "execute_multi_query",
     "extract_region_of_interest",
-    "build_indexed_dataset_streaming",
-    "VolumeSlabSource",
     "FunctionSlabSource",
     "UnstructuredDataset",
     "build_unstructured_dataset",

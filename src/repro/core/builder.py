@@ -1,14 +1,20 @@
 """Preprocessing pipeline (paper Section 4 and Section 7 preamble).
 
-One pass over the input volume produces:
+The input is a *slab source*: a volume delivered as slabs along axis 0,
+each whole metacell layers plus the boundary plane it shares with the
+next.  An in-memory :class:`~repro.grid.volume.Volume` is the trivial
+source, one slab; :class:`FunctionSlabSource` evaluates one metacell
+layer at a time, so no full-volume array ever exists.  Two passes over
+the slabs produce:
 
-1. the metacell decomposition with per-metacell ``(vmin, vmax)``;
-2. culling of constant metacells (the ~50% disk saving on the
-   Richtmyer–Meshkov data);
-3. the compact interval tree over the surviving intervals;
-4. the on-disk brick layout — metacell records written in tree layout
-   order to one device (serial) or striped round-robin across ``p``
-   devices (parallel, Section 5.1).
+1. (pass 1, :func:`plan_layout`) the per-metacell ``(vmin, vmax)``, the
+   culling of constant metacells (the ~50% disk saving on the
+   Richtmyer–Meshkov data), the compact interval tree over the
+   surviving intervals and the running CRC of the volume;
+2. (pass 2, :meth:`LayoutPlan.slab_runs`) the on-disk brick layout —
+   each slab's records encoded and written at their final offsets in
+   tree layout order, on one device (serial) or striped round-robin
+   across ``p`` devices (parallel, Section 5.1).
 
 The output is an :class:`IndexedDataset`: everything a query needs — the
 in-memory index, the device, the record codec, and the grid metadata that
@@ -17,22 +23,109 @@ maps metacell ids back to world coordinates at triangulation time.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
+from typing import Callable, Iterator, Protocol
 
 import numpy as np
 
 from repro.core.compact_tree import CompactIntervalTree
 from repro.core.intervals import IntervalSet
 from repro.core.striping import StripedNodeLayout, stripe_brick_records
-from repro.grid.metacell import MetacellPartition, partition_metacells
+from repro.grid.metacell import MetacellPartition, metacell_grid_shape, partition_metacells
 from repro.grid.volume import Volume
 from repro.io.blockdevice import SimulatedBlockDevice
 from repro.io.cost_model import IOCostModel
-from repro.io.layout import BrickChecksums, MetacellCodec, compute_crc_tables
+from repro.io.layout import BrickChecksums, MetacellCodec, chain_crcs, compute_record_crcs
 
 #: Records serialized per chunk during the layout write, bounding resident
 #: memory during preprocessing of large volumes.
 WRITE_CHUNK_RECORDS = 8192
+
+
+class SlabSource(Protocol):
+    """A scalar volume that preprocessing reads as slabs along axis 0."""
+
+    shape: tuple[int, int, int]
+    dtype: np.dtype
+    nbytes: int
+    spacing: tuple[float, float, float]
+    origin: tuple[float, float, float]
+    name: str
+
+    def slabs(self, metacell_shape) -> "Iterator[tuple[int, Volume]]":
+        """Yield ``(x0, slab)``: planes ``[x0, x0 + len(slab))``, whole
+        metacell layers plus the shared boundary plane (the last slab
+        may end at the volume's last plane), in order, once per call."""
+        ...
+
+
+@dataclass
+class FunctionSlabSource:
+    """A volume evaluated slab by slab: ``fn(x0, x1)`` returns planes
+    ``[x0, x1)`` along axis 0, shape ``(x1 - x0, ny, nz)``.
+
+    Each slab is one metacell layer — ``m - 1`` planes plus the boundary
+    plane it shares with the next — so the full volume never
+    materializes: this is how a simulation output larger than memory (a
+    memory-mapped file, or the RM generator) streams into preprocessing.
+    """
+
+    fn: Callable[[int, int], np.ndarray]
+    shape: tuple[int, int, int]
+    dtype: np.dtype
+    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
+    origin: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    name: str = "streamed"
+
+    def __post_init__(self) -> None:
+        self.shape = tuple(int(s) for s in self.shape)
+        self.dtype = np.dtype(self.dtype)
+
+    @property
+    def nbytes(self) -> int:
+        return int(np.prod(self.shape)) * self.dtype.itemsize
+
+    def slabs(self, metacell_shape):
+        nx, ny, nz = self.shape
+        step = metacell_shape[0] - 1
+        for x0 in range(0, nx - 1, step):
+            x1 = min(x0 + step + 1, nx)
+            data = np.asarray(self.fn(x0, x1))
+            if data.shape != (x1 - x0, ny, nz) or data.dtype != self.dtype:
+                raise ValueError(
+                    f"slab fn returned shape {data.shape} {data.dtype}, expected "
+                    f"{(x1 - x0, ny, nz)} {self.dtype}"
+                )
+            yield x0, Volume(data, self.spacing, self.origin, self.name)
+
+
+def _slab_partitions(source, metacell_shape):
+    """Partition each slab of ``source`` in turn.
+
+    Yields ``(id0, partition, fresh)``: the slab's first metacell id, its
+    metacell partition and its planes not shared with the previous slab.
+    Slabs run along axis 0, the outermost of the C-order metacell ids, so
+    a slab of whole metacell layers covers the one id range ``[id0, id0 +
+    partition.n_metacells)`` and the running CRC of the ``fresh`` planes
+    is the CRC of the whole C-order volume.
+    """
+    nx = source.shape[0]
+    step = metacell_shape[0] - 1
+    _, gy, gz = metacell_grid_shape(source.shape, metacell_shape)
+    end = 0
+    for x0, slab in source.slabs(metacell_shape):
+        stop = x0 + slab.shape[0]
+        if (x0 != max(end - 1, 0) or x0 % step or slab.shape[1:] != source.shape[1:]
+                or not (stop == nx or (stop < nx and (stop - 1) % step == 0))):
+            raise ValueError(
+                f"slab of planes [{x0}, {stop}) does not continue the metacell "
+                f"layers of a {source.shape} volume at plane {max(end - 1, 0)}"
+            )
+        yield x0 // step * gy * gz, partition_metacells(slab, metacell_shape), slab.data[end - x0 :]
+        end = stop
+    if end != nx:
+        raise ValueError(f"slabs of a {source.shape} volume stop at plane {end}")
 
 
 @dataclass(frozen=True)
@@ -148,7 +241,7 @@ class IndexedDataset:
 
 
 def _make_meta(volume, grid_shape, metacell_shape) -> DatasetMeta:
-    """Grid metadata of ``volume`` (a :class:`Volume` or a slab source)."""
+    """Grid metadata of ``volume``, any slab source."""
     return DatasetMeta(
         grid_shape=tuple(grid_shape),
         metacell_shape=tuple(metacell_shape),
@@ -184,13 +277,17 @@ def _make_report(
 class LayoutPlan:
     """What a build decides before it writes a byte: pure, deterministic
     compute that a resumed journaled build reruns to the same record order.
-    ``tree`` is the global tree; its stripes share ``meta`` and ``report``."""
+    ``tree`` is the global tree; its stripes share ``meta`` and ``report``.
+    ``partition`` is kept only for a one-slab source (an in-memory
+    volume); pass 2 re-streams any other ``source``."""
 
-    partition: MetacellPartition
+    source: SlabSource
+    partition: "MetacellPartition | None"
     tree: CompactIntervalTree
     codec: MetacellCodec
     meta: DatasetMeta
     report: PreprocessReport
+    volume_crc: int
 
     def dataset(self, tree, device, base_offset, checksums, **placement) -> IndexedDataset:
         """The dataset of ``tree`` (global or one stripe) as laid out on ``device``."""
@@ -199,81 +296,116 @@ class LayoutPlan:
             meta=self.meta, report=self.report, checksums=checksums, **placement,
         )
 
+    def slab_runs(self, tree, group: int, start: int = 0):
+        """Pass 2: re-stream the slabs and encode ``tree``'s records.
 
-def plan_layout(volume: Volume, metacell_shape=(9, 9, 9), drop_constant=True) -> LayoutPlan:
-    """Partition → intervals → compact tree → codec: the one plan step of
-    the in-memory, striped and journaled builders."""
-    partition = partition_metacells(volume, metacell_shape)
-    intervals = IntervalSet.from_partition(partition, drop_constant=drop_constant)
+        Yields, per slab, an iterator of ``(position, bytes)``: each run
+        of consecutive layout positions ``>= start`` whose records lie in
+        the slab, cut at every multiple of ``group``.  The one slab of an
+        in-memory volume is one run per group, in layout order.
+        """
+        ids = tree.record_ids
+        by_id = np.argsort(ids, kind="stable")
+        sorted_ids = ids[by_id]
+        if self.partition is not None:
+            slabs = [(0, self.partition)]
+        else:
+            slabs = (s[:2] for s in _slab_partitions(self.source, self.codec.metacell_shape))
+        for id0, part in slabs:
+            lo, hi = np.searchsorted(sorted_ids, (id0, id0 + part.n_metacells))
+            positions = np.sort(by_id[lo:hi])
+            yield _encode_runs(self.codec, part, id0, tree, positions[positions >= start], group)
+
+
+def plan_layout(source, metacell_shape=(9, 9, 9), drop_constant=True) -> LayoutPlan:
+    """Pass 1, the one plan step of the in-memory, striped and journaled
+    builders: each slab of ``source`` is partitioned in turn into the
+    global per-metacell extrema and the running volume CRC; then
+    intervals → compact tree → codec."""
+    metacell_shape = tuple(int(m) for m in metacell_shape)
+    grid = metacell_grid_shape(source.shape, metacell_shape)
+    vmin = np.empty(int(np.prod(grid)), dtype=source.dtype)
+    vmax = np.empty_like(vmin)
+    crc, kept = 0, None
+    for id0, part, fresh in _slab_partitions(source, metacell_shape):
+        vmin[id0 : id0 + part.n_metacells] = part.vmin
+        vmax[id0 : id0 + part.n_metacells] = part.vmax
+        crc = zlib.crc32(np.ascontiguousarray(fresh), crc)
+        kept = part if id0 == 0 else None
+    keep = vmin != vmax if drop_constant else slice(None)
+    ids = np.arange(len(vmin), dtype=np.uint32)
+    intervals = IntervalSet(vmin=vmin[keep], vmax=vmax[keep], ids=ids[keep])
     tree = CompactIntervalTree.build(intervals)
-    codec = MetacellCodec(partition.metacell_shape, volume.dtype)
+    codec = MetacellCodec(metacell_shape, source.dtype)
     return LayoutPlan(
-        partition, tree, codec,
-        _make_meta(volume, partition.grid_shape, partition.metacell_shape),
-        _make_report(partition.n_metacells, volume.nbytes, intervals, tree, codec),
+        source, kept, tree, codec,
+        _make_meta(source, grid, metacell_shape),
+        _make_report(len(vmin), source.nbytes, intervals, tree, codec),
+        crc,
     )
 
 
 def encode_group(
     codec: MetacellCodec,
     partition: MetacellPartition,
+    id0: int,
     ids: np.ndarray,
     vmins: np.ndarray,
-    crcs: np.ndarray,
-    cum: np.ndarray,
-    s: int,
-    e: int,
 ) -> bytes:
-    """Gather, encode and checksum layout records ``[s, e)``.
+    """Gather and encode the records of metacells ``ids`` (global ids,
+    with their ``vmins``) from ``partition``, a slab whose first metacell
+    id is ``id0``: the one record encoder of every layout write."""
+    return codec.encode(ids, vmins, partition.extract_values(ids - id0))
 
-    The one group routine of every layout write: returns the bytes to
-    write and fills ``crcs[s:e]`` and ``cum[s + 1 : e + 1]`` (continuing
-    the stream CRC from ``cum[s]``) from exactly those bytes, so the
-    checksum tables are the layout's ground truth from the moment they
-    exist.
-    """
-    values = partition.extract_values(ids[s:e])
-    blob = codec.encode(ids[s:e], vmins[s:e], values)
-    crcs[s:e], group_cum = compute_crc_tables(blob, codec.record_size, int(cum[s]))
-    cum[s + 1 : e + 1] = group_cum[1:]
-    return blob
+
+def _encode_runs(codec, partition, id0, tree, positions, group):
+    """``(position, bytes)`` of each run of consecutive ``positions``
+    (sorted layout positions of records in one slab), cut at every
+    multiple of ``group``."""
+    if not len(positions):
+        return
+    cuts = np.flatnonzero((np.diff(positions) != 1) | (positions[1:] % group == 0)) + 1
+    for run in np.split(positions, cuts):
+        s, e = int(run[0]), int(run[-1]) + 1
+        yield s, encode_group(
+            codec, partition, id0, tree.record_ids[s:e], tree.record_vmins[s:e]
+        )
 
 
 def _write_records(
     device, plan: LayoutPlan, tree: CompactIntervalTree, checksum: bool = True
 ) -> "tuple[int, BrickChecksums | None]":
-    """Serialize ``tree``'s records of ``plan``, in layout order, to ``device``.
+    """Serialize ``tree``'s records of ``plan`` to ``device``, slab by
+    slab, each at its layout offset.
 
     Returns ``(base_offset, checksums)``: the CRC32 of every record, the
     cumulative stream CRC table that makes span verification one call,
     and the per-brick rollup (``None`` with ``checksum=False``).
     """
-    codec, partition = plan.codec, plan.partition
-    ids, vmins = tree.record_ids, tree.record_vmins
-    n = len(ids)
-    base = device.allocate(n * codec.record_size)
+    rec, n = plan.codec.record_size, tree.n_records
+    base = device.allocate(n * rec)
     crcs = np.empty(n, dtype=np.uint32)
-    cum = np.zeros(n + 1, dtype=np.uint32)
-    for s in range(0, n, WRITE_CHUNK_RECORDS):
-        e = min(s + WRITE_CHUNK_RECORDS, n)
-        blob = encode_group(codec, partition, ids, vmins, crcs, cum, s, e)
-        device.write(base + s * codec.record_size, blob)
+    for runs in plan.slab_runs(tree, WRITE_CHUNK_RECORDS):
+        for s, blob in runs:
+            device.write(base + s * rec, blob)
+            if checksum:
+                crcs[s : s + len(blob) // rec] = compute_record_crcs(blob, rec)
     if not checksum:
         return base, None
     return base, BrickChecksums.from_record_crcs(
-        crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
+        crcs, tree.brick_start, tree.brick_count, cum_crcs=chain_crcs(crcs, rec)
     )
 
 
 def build_indexed_dataset(
-    volume: Volume,
+    volume: SlabSource,
     metacell_shape: tuple[int, int, int] = (9, 9, 9),
     device=None,
     cost_model: IOCostModel | None = None,
     drop_constant: bool = True,
     checksum: bool = True,
 ) -> IndexedDataset:
-    """Preprocess a volume for serial (single-disk) querying.
+    """Preprocess a volume (any slab source) for serial (single-disk) querying.
 
     ``checksum=True`` (default) records CRC32 integrity tables alongside
     the layout; pass False to reproduce the paper's bare format.
@@ -286,7 +418,7 @@ def build_indexed_dataset(
 
 
 def build_striped_datasets(
-    volume: Volume,
+    volume: SlabSource,
     p: int,
     metacell_shape: tuple[int, int, int] = (9, 9, 9),
     devices=None,
@@ -296,7 +428,9 @@ def build_striped_datasets(
     checksum: bool = True,
     replication: int = 1,
 ) -> "list[IndexedDataset]":
-    """Preprocess a volume striped across the local disks of ``p`` nodes.
+    """Preprocess a volume (any slab source) striped across the local
+    disks of ``p`` nodes.  A multi-slab source is streamed once for the
+    plan and once per layout written (each node's, each replica).
 
     Returns one :class:`IndexedDataset` per node.  All nodes share the
     same preprocessing report and grid metadata; each holds its own

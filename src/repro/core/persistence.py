@@ -9,16 +9,20 @@ preprocessed dataset is a self-describing directory::
       meta.json      codec + grid metadata + report + build fingerprint
 
 and only the journaled builder creates those files, in three steps:
-*plan* (:func:`repro.core.builder.plan_layout` + the input fingerprint),
-*journaled store write* (record groups written, fsync'd, read back and
-logged in ``build.journal``; ``bricks.bin`` renamed into place) and
-*publish* (``index.npz`` then ``meta.json``, each tmp → fsync →
-``os.replace``; journal commit).  The store write takes any tree over
-the partition, so the same steps serve :func:`build_persistent_dataset`
-(the serial tree), :func:`build_persistent_striped` (the ``p`` stripes of
-paper Section 5.1 in ``node_<q>/``) and a time series (one striped build
-per ``step_<t>/``, :class:`repro.core.timevarying.TimeVaryingIndex`).
-Bricks go to disk as they are encoded; only the index stays in memory.
+*plan* (pass 1 of :func:`repro.core.builder.plan_layout` over the input's
+slabs, which also sums the fingerprint's volume CRC), *journaled store
+write* (pass 2: the slabs re-streamed, their records written at their
+final offsets and read back, each record group fsync'd and logged in
+``build.journal`` once the groups before it are complete; ``bricks.bin``
+renamed into place) and *publish* (``index.npz`` then ``meta.json``,
+each tmp → fsync → ``os.replace``; journal commit).  The store write
+takes any tree of the plan, so the same steps serve
+:func:`build_persistent_dataset` (the serial tree),
+:func:`build_persistent_striped` (the ``p`` stripes of paper Section 5.1
+in ``node_<q>/``) and a time series (one striped build per
+``step_<t>/``, :class:`repro.core.timevarying.TimeVaryingIndex`).
+Bricks go to disk as they are encoded; only the index and one slab of
+the input stay in memory.
 """
 
 from __future__ import annotations
@@ -36,13 +40,18 @@ from repro.core.builder import (
     IndexedDataset,
     LayoutPlan,
     PreprocessReport,
-    encode_group,
     plan_layout,
 )
 from repro.core.compact_tree import CompactIntervalTree, TreeNode
 from repro.io.cost_model import IOCostModel
 from repro.io.diskfile import FileBackedDevice
-from repro.io.layout import BrickChecksums, MetacellCodec, compute_crc_tables
+from repro.io.layout import (
+    BrickChecksums,
+    MetacellCodec,
+    chain_crcs,
+    compute_crc_tables,
+    compute_record_crcs,
+)
 
 #: Format version for forward-compatibility checks.  Version 2 added the
 #: CRC32 checksum tables (``record_crcs`` / ``brick_crcs`` in the index
@@ -248,12 +257,18 @@ def build_fingerprint(volume, metacell_shape, n_records, record_size) -> dict:
     A journal (or a committed dataset) belongs to a resumable build only
     if its fingerprint matches — resuming over a half-built layout of
     *different* data would corrupt it silently, so mismatch means start
-    over.
+    over.  ``volume`` is an in-memory :class:`~repro.grid.volume.Volume`
+    or the :class:`~repro.core.builder.LayoutPlan` of any slab source,
+    whose pass 1 ran the same CRC slab by slab.
     """
-    return {
+    if isinstance(volume, LayoutPlan):
+        crc, volume = volume.volume_crc, volume.source
+    else:
         # Hashed in place through the buffer protocol: ``tobytes()`` would
         # copy the whole volume (7.5 GB per time step at paper scale).
-        "volume_crc": zlib.crc32(np.ascontiguousarray(volume.data)),
+        crc = zlib.crc32(np.ascontiguousarray(volume.data))
+    return {
+        "volume_crc": crc,
         "volume_shape": list(volume.shape),
         "dtype": str(volume.dtype),
         "metacell_shape": list(metacell_shape),
@@ -389,13 +404,37 @@ def _resume_point(directory: Path, fingerprint: dict, n: int, rec: int,
     return state is not None, verified, store_complete
 
 
+def _write_verified(device, raw, offset: int, blob: bytes, verify: bool) -> None:
+    """Write ``blob`` at ``offset``; with ``verify``, read it back from
+    ``raw`` (unmetered) and rewrite it — write + fsync through the same,
+    possibly faulty, device — until the bytes check out, so a torn write
+    the device silently absorbed is never journaled as durable."""
+    device.write(offset, blob)
+    if not verify:
+        return
+    intended = zlib.crc32(blob)
+    for _attempt in range(8):
+        if zlib.crc32(raw.peek(offset, len(blob))) == intended:
+            return
+        device.write(offset, blob)
+        device.fsync()
+    from repro.io.faults import TornWriteError
+
+    raise TornWriteError(
+        f"records at offset {offset} failed read-back verification 8 times"
+    )
+
+
 def _write_store(directory: Path, plan: LayoutPlan, tree, journal, verified: int,
                  crcs: np.ndarray, cum: np.ndarray, cost_model, group: int,
                  crash, wrap_device, verify_writes: bool) -> None:
-    """The journaled store write: each record group of ``tree`` past
-    ``verified`` is encoded, written, fsync'd, read back and journaled
-    into ``bricks.bin.partial``, which is then renamed to ``bricks.bin``.
-    ``tree`` is any tree over ``plan.partition``: the serial tree or one
+    """The journaled store write, pass 2 of ``plan``: the source is
+    re-streamed and each run of ``tree``'s records at layout positions
+    ``>= verified`` is encoded, written at its final offset in
+    ``bricks.bin.partial`` and read back.  A record group is fsync'd and
+    journaled once it and every earlier group are written, so a journal
+    entry still means "records ``[0, e)`` are durable"; then the partial
+    is renamed to ``bricks.bin``.  ``tree`` is the serial tree or one
     stripe's :attr:`~repro.core.striping.StripedNodeLayout.tree`."""
     partial = directory / BRICKS_PARTIAL_FILE
     n, rec = tree.n_records, plan.codec.record_size
@@ -405,33 +444,27 @@ def _write_store(directory: Path, plan: LayoutPlan, tree, journal, verified: int
     elif raw.size > n * rec:  # pragma: no cover - over-long stale partial
         raw.truncate(n * rec)
     device = wrap_device(raw) if wrap_device is not None else raw
-    ids, vmins = tree.record_ids, tree.record_vmins
-    for g, s in enumerate(range(0, n, group)):
-        e = min(s + group, n)
-        if e <= verified:
-            continue
-        blob = encode_group(plan.codec, plan.partition, ids, vmins, crcs, cum, s, e)
-        device.write(s * rec, blob)
-        crash.point(f"group_written:{g}")
-        device.fsync()
-        crash.point(f"group_flushed:{g}")
-        if verify_writes:
-            intended = zlib.crc32(blob)
-            for _attempt in range(8):
-                if zlib.crc32(raw.peek(s * rec, len(blob))) == intended:
-                    break
-                # Torn/absorbed write: rewrite the whole group
-                # (through the same, possibly faulty, device).
-                device.write(s * rec, blob)
+    starts = np.arange(0, n, group)
+    ends = np.minimum(starts + group, n)
+    todo = np.maximum(ends - np.maximum(starts, verified), 0)  # records unwritten
+    g, done = int(np.searchsorted(ends, verified, side="right")), verified
+    for k, runs in enumerate(plan.slab_runs(tree, group, verified)):
+        if k:
+            crash.point(f"slab_boundary:{k}")
+        for s, blob in runs:
+            _write_verified(device, raw, s * rec, blob, verify_writes)
+            crcs[s : s + len(blob) // rec] = compute_record_crcs(blob, rec)
+            todo[s // group] -= len(blob) // rec
+            while g < len(ends) and todo[g] == 0:
+                e = int(ends[g])
+                cum[done : e + 1] = chain_crcs(crcs[done:e], rec, int(cum[done]))
+                done = e
+                crash.point(f"group_written:{g}")
                 device.fsync()
-            else:
-                from repro.io.faults import TornWriteError
-
-                raise TornWriteError(
-                    f"group {g} failed read-back verification 8 times"
-                )
-        journal.group(g, e, int(cum[e]))
-        crash.point(f"group_journaled:{g}")
+                crash.point(f"group_flushed:{g}")
+                journal.group(g, e, int(cum[e]))
+                crash.point(f"group_journaled:{g}")
+                g += 1
     device.fsync()
     device.close()
     crash.point("store_closed")
@@ -536,8 +569,7 @@ def _build_nodes(volume, directory: Path, p: "int | None", metacell_shape, cost_
         raise ValueError(f"group_records must be >= 1, got {group}")
     plan = plan_layout(volume, metacell_shape)
     fingerprint = build_fingerprint(
-        volume, plan.partition.metacell_shape, plan.tree.n_records,
-        plan.codec.record_size,
+        plan, plan.codec.metacell_shape, plan.tree.n_records, plan.codec.record_size,
     )
     if p is None:
         nodes = [(directory, plan.tree, 0, 1, fingerprint)]
@@ -561,15 +593,15 @@ def build_persistent_striped(
     cost_model: IOCostModel | None = None,
     *, group_records: "int | None" = None, crash=None,
 ) -> "list[IndexedDataset]":
-    """Preprocess ``volume`` striped across ``p`` nodes straight to disk:
-    ``directory/node_<q>/{bricks.bin,index.npz,meta.json}``, each node a
-    journaled build with the guarantees (and the ``group_records`` /
-    ``crash`` keywords) of :func:`build_persistent_dataset`.
+    """Preprocess ``volume`` (any slab source) striped across ``p`` nodes
+    straight to disk: ``directory/node_<q>/{bricks.bin,index.npz,meta.json}``,
+    each node a journaled build with the guarantees (and the
+    ``group_records`` / ``crash`` keywords) of :func:`build_persistent_dataset`.
 
-    The node builds run in rank order and share one partition pass and
-    one volume CRC; each node's fingerprint adds ``(node_rank, p)``, so
-    a rerun loads the committed nodes, resumes the interrupted one and
-    builds the rest.  Node ``q``'s store and checksum tables equal
+    The node builds run in rank order and share one plan pass and one
+    volume CRC; a multi-slab source is then streamed once per node.  Each
+    node's fingerprint adds ``(node_rank, p)``, so a rerun loads the
+    committed nodes, resumes the interrupted one and builds the rest.  Node ``q``'s store and checksum tables equal
     :func:`repro.core.builder.build_striped_datasets` node ``q``'s.
     """
     if p < 1:
@@ -592,8 +624,11 @@ def build_persistent_dataset(
     wrap_device=None,
     verify_writes: bool = True,
 ) -> IndexedDataset:
-    """Preprocess straight into a self-describing dataset directory —
-    crash-consistently.
+    """Preprocess ``volume`` — an in-memory :class:`~repro.grid.volume.Volume`
+    or any slab source, such as a
+    :class:`~repro.core.builder.FunctionSlabSource` that never holds more
+    than one metacell layer — straight into a self-describing dataset
+    directory, crash-consistently.
 
     The build is journaled and committed atomically: record groups go to
     ``bricks.bin.partial`` (fsync'd, then logged in ``build.journal``),
@@ -601,7 +636,11 @@ def build_persistent_dataset(
     ``os.replace``.  At *any* kill point the directory is either (a) a
     committed, fsck-clean dataset, or (b) an in-progress build that a
     rerun with ``resume=True`` (the default) finishes — producing
-    artifacts byte-identical to an uninterrupted build.
+    artifacts byte-identical to an uninterrupted build.  The resume unit
+    is the journaled group prefix: a multi-slab source writes records
+    out of layout order, a group is journaled only once it and all
+    earlier groups are written, and a rerun re-streams the source and
+    rewrites only the positions past the verified prefix.
 
     Parameters
     ----------

@@ -62,6 +62,11 @@ class Volume:
         nx, ny, nz = self.shape
         return (nx - 1) * (ny - 1) * (nz - 1)
 
+    def slabs(self, metacell_shape):
+        """Slab-source protocol (:class:`repro.core.builder.SlabSource`):
+        an in-memory volume is one slab, itself."""
+        yield 0, self
+
     def value_range(self) -> tuple[float, float]:
         return float(self.data.min()), float(self.data.max())
 

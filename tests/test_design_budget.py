@@ -7,9 +7,10 @@ Five budgets, each of which some earlier state of the code blew
 catch-all; ``core/query.py`` carried a second, knob-selected read
 strategy and ``parallel/`` a knob-selected shared-memory executor;
 ``build_persistent_dataset`` had 184 body lines and a second,
-non-journaled writer, ``save_dataset``, beside it; the ``mc-batch``
-kernel had 204 body lines over four index spaces and SurfaceNets' chunk
-driver 159):
+non-journaled writer, ``save_dataset``, beside it, and later a
+non-journaled slab-streaming builder, ``core/streaming.py``; the
+``mc-batch`` kernel had 204 body lines over four index spaces and
+SurfaceNets' chunk driver 159):
 
 * no function in the data-path modules exceeds ``MAX_BODY_LINES`` lines,
   docstring excluded;
@@ -18,7 +19,8 @@ driver 159):
   back in;
 * the field sets of ``QueryOptions`` and ``ExtractRequest`` are pinned,
   so a new knob is a reviewed diff of this file;
-* the names of the deleted forks do not reappear in ``src/repro``;
+* the names of the deleted forks do not reappear in ``src/repro``, nor
+  does ``core/streaming.py``;
 * exactly one site writes a dataset's index, and nothing outside ``io/``
   reaches into a device's ``_buf``.
 """
@@ -66,14 +68,16 @@ OPTION_FIELDS = {
 
 #: Names of the two deleted knob-selected forks (coalesced peek+replay
 #: reader, shared-memory triangulation pipeline), of the deleted second
-#: store writer with its callback and its side file, and of the
-#: ``mc-batch`` kernel's per-family edge grids (scratch object, gather
-#: tables and their module-level cache).
+#: store writer with its callback and its side file, of the ``mc-batch``
+#: kernel's per-family edge grids (scratch object, gather tables and
+#: their module-level cache), and of the deleted second preprocessing
+#: path (the non-journaled slab-streaming builder and its helpers).
 DELETED_FORK_NAMES = (
     "coalesce_gap_blocks", "charge_read", "PipelineOptions",
     "shared_memory", "supports_pipeline",
     "save_dataset", "device_factory", "steps.txt",
     "_BatchScratch", "_GATHER_TABLE_CACHE", "_edge_gather_tables",
+    "build_indexed_dataset_streaming", "VolumeSlabSource", "_slab_metacell_stats",
 )
 
 #: module -> qualified names that must not grow a ``**`` parameter.
@@ -154,6 +158,12 @@ def test_deleted_forks_stay_deleted():
         if name in text
     ]
     assert not hits
+
+
+def test_one_preprocessing_path():
+    """Slab streaming is how the journaled builder reads its input, not a
+    module of its own beside it."""
+    assert not (SRC / "core" / "streaming.py").exists()
 
 
 def test_one_store_writer():

@@ -1,15 +1,17 @@
-"""Store-level byte pins: every builder writes what it wrote before PR 15.
+"""Store-level byte pins: every builder writes what it wrote before the
+scan pass was rewritten.
 
 One fixed volume goes through the in-memory, striped (p=4, r=2),
-persistent, crash-resumed and streaming builders; the digests of the
-brick bytes and of the checksum tables were recorded from the commit
+persistent and crash-resumed builders, and through the persistent
+builder again as a multi-slab :class:`FunctionSlabSource`; the digests of
+the brick bytes and of the checksum tables were recorded from the commit
 before the preprocessing scan pass was rewritten (separable extrema, one
 group routine).  A faster scan pass may change how the bytes are
 produced, never which bytes.
 
-The one entry not recorded from the parent is the streaming builder's
-checksum tables: the parent returned none (the bug this PR fixes), so
-they are pinned to the in-memory builder's, which the parent did record.
+The streaming build has no digests of its own: a volume streamed slab by
+slab must write exactly what the in-memory ``Volume`` build writes.
+``PARENT_VOLUME_BUILD`` pins how the ``Volume`` build writes it.
 """
 
 import hashlib
@@ -17,8 +19,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.builder import build_indexed_dataset, build_striped_datasets
-from repro.core.journal import BuildJournal
+from repro.core.builder import (
+    FunctionSlabSource,
+    build_indexed_dataset,
+    build_striped_datasets,
+)
+from repro.core.journal import JOURNAL_FILE, BuildJournal
 from repro.core.persistence import (
     BRICKS_FILE,
     INDEX_FILE,
@@ -27,7 +33,6 @@ from repro.core.persistence import (
     build_persistent_dataset,
     build_persistent_striped,
 )
-from repro.core.streaming import VolumeSlabSource, build_indexed_dataset_streaming
 from repro.grid.volume import Volume
 from repro.io.faults import CrashSchedule, SimulatedCrash
 
@@ -169,9 +174,77 @@ def test_crash_resumed_build(volume, tmp_path, point):
     assert directory_digests(tmp_path / "ds") == PINS["persistent"]
 
 
-def test_streaming_build(volume):
-    ds = build_indexed_dataset_streaming(VolumeSlabSource(volume), MC)
-    assert store_digests([ds]) == PINS["memory"]
+def test_streaming_build(volume, tmp_path):
+    """The pinned volume streamed one metacell layer at a time through the
+    durable builder writes the ``Volume`` build's directory."""
+    source = FunctionSlabSource(
+        lambda x0, x1: volume.data[x0:x1], volume.shape, volume.dtype, name=volume.name
+    )
+    build_persistent_dataset(source, tmp_path, MC, group_records=GROUP_RECORDS)
+    assert directory_digests(tmp_path) == PINS["persistent"]
+
+
+class _RecordingDevice:
+    """Pass-through staging-device wrapper logging writes and fsyncs."""
+
+    def __init__(self, raw):
+        self.raw, self.writes, self.fsyncs = raw, [], 0
+
+    def allocate(self, nbytes):
+        return self.raw.allocate(nbytes)
+
+    def write(self, offset, data):
+        self.writes.append((offset, len(data)))
+        self.raw.write(offset, data)
+
+    def fsync(self):
+        self.fsyncs += 1
+        self.raw.fsync()
+
+    def close(self):
+        self.raw.close()
+
+
+#: How the parent commit (the last one with a separate streaming builder)
+#: wrote ``pinned_volume()`` with ``GROUP_RECORDS``: its
+#: ``CrashSchedule.trace``, the staging device's ``(offset, len)`` writes
+#: in order, its fsync count, and the sha256 of ``build.journal`` as it
+#: stands at the ``journal_committed`` kill point.  Recorded by running
+#: this test's builds at that commit.
+PARENT_VOLUME_BUILD = {
+    "trace": [
+        "begin_journaled",
+        *(f"group_{step}:{g}" for g in range(11)
+          for step in ("written", "flushed", "journaled")),
+        "store_closed", "bricks_renamed", "index_tmp_written", "index_renamed",
+        "meta_tmp_written", "meta_renamed", "journal_committed",
+    ],
+    "writes": [(2080 * g, 2080) for g in range(10)] + [(20800, 910)],
+    "fsyncs": 12,
+    "journal": "51db544ee9fe740ef2f1ec04097897b2926b06c424a28e1daee8533a3446399c",
+}
+
+
+def test_volume_build_writes_as_the_parent_did(volume, tmp_path):
+    """A ``Volume`` is a one-slab source: same kill points, same staging
+    writes (so ``preprocess_build``'s counted blocks stay exact), same
+    fsyncs, same journal bytes as before slab sources existed."""
+    box = {}
+    probe = CrashSchedule(kill_at=None)
+    build_persistent_dataset(
+        volume, tmp_path / "ds", MC, group_records=GROUP_RECORDS, crash=probe,
+        wrap_device=lambda raw: box.setdefault("dev", _RecordingDevice(raw)),
+    )
+    assert probe.trace == PARENT_VOLUME_BUILD["trace"]
+    assert box["dev"].writes == PARENT_VOLUME_BUILD["writes"]
+    assert box["dev"].fsyncs == PARENT_VOLUME_BUILD["fsyncs"]
+    with pytest.raises(SimulatedCrash):
+        build_persistent_dataset(
+            volume, tmp_path / "killed", MC, group_records=GROUP_RECORDS,
+            crash=CrashSchedule(kill_at=probe.trace.index("journal_committed")),
+        )
+    journal = (tmp_path / "killed" / JOURNAL_FILE).read_bytes()
+    assert sha(journal) == PARENT_VOLUME_BUILD["journal"]
 
 
 def test_parent_journal_still_resumes(volume, tmp_path):
