@@ -10,8 +10,9 @@ the slabs produce:
 1. (pass 1, :func:`plan_layout`) the per-metacell ``(vmin, vmax)``, the
    culling of constant metacells (the ~50% disk saving on the
    Richtmyer–Meshkov data), the compact interval tree over the
-   surviving intervals and the running CRC of the volume;
-2. (pass 2, :meth:`LayoutPlan.slab_runs`) the on-disk brick layout —
+   surviving intervals and, for a multi-slab source, the running CRC of
+   its planes slab by slab;
+2. (pass 2, :meth:`LayoutPlan.write_groups`) the on-disk brick layout —
    each slab's records encoded and written at their final offsets in
    tree layout order, on one device (serial) or striped round-robin
    across ``p`` devices (parallel, Section 5.1).
@@ -36,11 +37,16 @@ from repro.grid.metacell import MetacellPartition, metacell_grid_shape, partitio
 from repro.grid.volume import Volume
 from repro.io.blockdevice import SimulatedBlockDevice
 from repro.io.cost_model import IOCostModel
-from repro.io.layout import BrickChecksums, MetacellCodec, chain_crcs, compute_record_crcs
+from repro.io.layout import BrickChecksums, MetacellCodec, compute_crc_tables
 
 #: Records serialized per chunk during the layout write, bounding resident
 #: memory during preprocessing of large volumes.
 WRITE_CHUNK_RECORDS = 8192
+
+#: Bytes read back per call when a record group written out of order (a
+#: multi-slab source) is checksummed, so the read-back stays far below
+#: one slab whatever the group size.
+READBACK_BYTES = 1 << 20
 
 
 class SlabSource(Protocol):
@@ -279,7 +285,9 @@ class LayoutPlan:
     compute that a resumed journaled build reruns to the same record order.
     ``tree`` is the global tree; its stripes share ``meta`` and ``report``.
     ``partition`` is kept only for a one-slab source (an in-memory
-    volume); pass 2 re-streams any other ``source``."""
+    volume); pass 2 re-streams any other ``source``, and ``slab_crcs[k]``
+    is then the running CRC of its planes through slab ``k`` (empty for a
+    one-slab source)."""
 
     source: SlabSource
     partition: "MetacellPartition | None"
@@ -287,7 +295,19 @@ class LayoutPlan:
     codec: MetacellCodec
     meta: DatasetMeta
     report: PreprocessReport
-    volume_crc: int
+    slab_crcs: "tuple[int, ...]"
+
+    @property
+    def volume_crc(self) -> int:
+        """CRC32 of the whole C-order volume, the fingerprint's: from pass 1
+        for a multi-slab source, hashed on demand for a one-slab one (an
+        in-memory build never needs it)."""
+        if self.slab_crcs:
+            return self.slab_crcs[-1]
+        _, slab = next(iter(self.source.slabs(self.codec.metacell_shape)))
+        # In place through the buffer protocol: ``tobytes()`` would copy
+        # the whole volume (7.5 GB per time step at paper scale).
+        return zlib.crc32(np.ascontiguousarray(slab.data))
 
     def dataset(self, tree, device, base_offset, checksums, **placement) -> IndexedDataset:
         """The dataset of ``tree`` (global or one stripe) as laid out on ``device``."""
@@ -302,46 +322,96 @@ class LayoutPlan:
         Yields, per slab, an iterator of ``(position, bytes)``: each run
         of consecutive layout positions ``>= start`` whose records lie in
         the slab, cut at every multiple of ``group``.  The one slab of an
-        in-memory volume is one run per group, in layout order.
+        in-memory volume is one run per group, in layout order.  A
+        multi-slab source must hand back the planes pass 1 planned: each
+        re-streamed slab's running CRC is checked against
+        :attr:`slab_crcs` before any of its records is encoded, and a
+        mismatch raises ``ValueError``.
         """
         ids = tree.record_ids
         by_id = np.argsort(ids, kind="stable")
         sorted_ids = ids[by_id]
         if self.partition is not None:
-            slabs = [(0, self.partition)]
+            slabs = [(0, self.partition, None)]
         else:
-            slabs = (s[:2] for s in _slab_partitions(self.source, self.codec.metacell_shape))
-        for id0, part in slabs:
+            slabs = _slab_partitions(self.source, self.codec.metacell_shape)
+        crc = 0
+        for k, (id0, part, fresh) in enumerate(slabs):
+            if fresh is not None:
+                crc = zlib.crc32(np.ascontiguousarray(fresh), crc)
+                if k >= len(self.slab_crcs) or crc != self.slab_crcs[k]:
+                    raise ValueError(
+                        f"slab {k} of source {self.source.name!r} changed between "
+                        f"the plan pass and the write pass"
+                    )
             lo, hi = np.searchsorted(sorted_ids, (id0, id0 + part.n_metacells))
             positions = np.sort(by_id[lo:hi])
             yield _encode_runs(self.codec, part, id0, tree, positions[positions >= start], group)
+
+    def write_groups(self, tree, group, start, write, peek, crcs, cum, crash=None):
+        """Pass 2's one record loop: ``write(position, bytes)`` each run
+        of :meth:`slab_runs`, slab by slab (``crash`` gets a
+        ``slab_boundary:<k>`` point between slabs).
+
+        Yields ``(g, e)`` once group ``g`` and every group before it are
+        written — records ``[0, e)`` — with ``crcs[:e]`` and
+        ``cum[:e + 1]`` filled.  A group written as one run (every group
+        of a one-slab source) is checksummed from that run's bytes; one
+        assembled from several slabs' runs is read back through
+        ``peek(offset, nbytes)``, :data:`READBACK_BYTES` at a time.
+        """
+        rec, n = self.codec.record_size, tree.n_records
+        starts = np.arange(0, n, group)
+        ends = np.minimum(starts + group, n)
+        todo = np.maximum(ends - np.maximum(starts, start), 0)  # records unwritten
+        g, done = int(np.searchsorted(ends, start, side="right")), start
+        step = max(1, READBACK_BYTES // rec)
+        for k, runs in enumerate(self.slab_runs(tree, group, start)):
+            if k and crash is not None:
+                crash.point(f"slab_boundary:{k}")
+            for s, blob in runs:
+                write(s, blob)
+                todo[s // group] -= len(blob) // rec
+                while g < len(ends) and todo[g] == 0:
+                    e = int(ends[g])
+                    whole = s == done and len(blob) == (e - done) * rec
+                    for a in range(done, e, e - done if whole else step):
+                        b = e if whole else min(a + step, e)
+                        chunk = blob if whole else peek(a * rec, (b - a) * rec)
+                        crcs[a:b], cum[a : b + 1] = compute_crc_tables(chunk, rec, int(cum[a]))
+                    done = e
+                    yield g, e
+                    g += 1
 
 
 def plan_layout(source, metacell_shape=(9, 9, 9), drop_constant=True) -> LayoutPlan:
     """Pass 1, the one plan step of the in-memory, striped and journaled
     builders: each slab of ``source`` is partitioned in turn into the
-    global per-metacell extrema and the running volume CRC; then
-    intervals → compact tree → codec."""
+    global per-metacell extrema (and, for a multi-slab source, the
+    running volume CRC); then intervals → compact tree → codec."""
     metacell_shape = tuple(int(m) for m in metacell_shape)
     grid = metacell_grid_shape(source.shape, metacell_shape)
-    vmin = np.empty(int(np.prod(grid)), dtype=source.dtype)
-    vmax = np.empty_like(vmin)
-    crc, kept = 0, None
-    for id0, part, fresh in _slab_partitions(source, metacell_shape):
-        vmin[id0 : id0 + part.n_metacells] = part.vmin
-        vmax[id0 : id0 + part.n_metacells] = part.vmax
-        crc = zlib.crc32(np.ascontiguousarray(fresh), crc)
-        kept = part if id0 == 0 else None
-    keep = vmin != vmax if drop_constant else slice(None)
+    vmins, vmaxs, crcs, first = [], [], [], None
+    for k, (_id0, part, fresh) in enumerate(_slab_partitions(source, metacell_shape)):
+        if k == 1:  # a streamed source: pass 2 checks every slab's CRC
+            crcs.append(zlib.crc32(np.ascontiguousarray(first)))
+        if k:
+            crcs.append(zlib.crc32(np.ascontiguousarray(fresh), crcs[-1]))
+        first = fresh if k == 0 else None
+        vmins.append(part.vmin)
+        vmaxs.append(part.vmax)
+    one_slab = len(vmins) == 1
+    vmin, vmax = (v[0] if one_slab else np.concatenate(v) for v in (vmins, vmaxs))
+    keep = vmin != vmax if drop_constant else np.ones(len(vmin), dtype=bool)
     ids = np.arange(len(vmin), dtype=np.uint32)
     intervals = IntervalSet(vmin=vmin[keep], vmax=vmax[keep], ids=ids[keep])
     tree = CompactIntervalTree.build(intervals)
     codec = MetacellCodec(metacell_shape, source.dtype)
     return LayoutPlan(
-        source, kept, tree, codec,
+        source, part if one_slab else None, tree, codec,
         _make_meta(source, grid, metacell_shape),
         _make_report(len(vmin), source.nbytes, intervals, tree, codec),
-        crc,
+        tuple(crcs),
     )
 
 
@@ -376,7 +446,8 @@ def _write_records(
     device, plan: LayoutPlan, tree: CompactIntervalTree, checksum: bool = True
 ) -> "tuple[int, BrickChecksums | None]":
     """Serialize ``tree``'s records of ``plan`` to ``device``, slab by
-    slab, each at its layout offset.
+    slab, each at its layout offset (a multi-slab source reads its
+    groups back through ``device.peek``).
 
     Returns ``(base_offset, checksums)``: the CRC32 of every record, the
     cumulative stream CRC table that makes span verification one call,
@@ -385,15 +456,17 @@ def _write_records(
     rec, n = plan.codec.record_size, tree.n_records
     base = device.allocate(n * rec)
     crcs = np.empty(n, dtype=np.uint32)
-    for runs in plan.slab_runs(tree, WRITE_CHUNK_RECORDS):
-        for s, blob in runs:
-            device.write(base + s * rec, blob)
-            if checksum:
-                crcs[s : s + len(blob) // rec] = compute_record_crcs(blob, rec)
+    cum = np.zeros(n + 1, dtype=np.uint32)
+    for _ in plan.write_groups(
+        tree, WRITE_CHUNK_RECORDS, 0,
+        lambda s, blob: device.write(base + s * rec, blob),
+        lambda offset, nbytes: device.peek(base + offset, nbytes), crcs, cum,
+    ):
+        pass
     if not checksum:
         return base, None
     return base, BrickChecksums.from_record_crcs(
-        crcs, tree.brick_start, tree.brick_count, cum_crcs=chain_crcs(crcs, rec)
+        crcs, tree.brick_start, tree.brick_count, cum_crcs=cum
     )
 
 

@@ -45,13 +45,7 @@ from repro.core.builder import (
 from repro.core.compact_tree import CompactIntervalTree, TreeNode
 from repro.io.cost_model import IOCostModel
 from repro.io.diskfile import FileBackedDevice
-from repro.io.layout import (
-    BrickChecksums,
-    MetacellCodec,
-    chain_crcs,
-    compute_crc_tables,
-    compute_record_crcs,
-)
+from repro.io.layout import BrickChecksums, MetacellCodec, compute_crc_tables
 
 #: Format version for forward-compatibility checks.  Version 2 added the
 #: CRC32 checksum tables (``record_crcs`` / ``brick_crcs`` in the index
@@ -259,7 +253,7 @@ def build_fingerprint(volume, metacell_shape, n_records, record_size) -> dict:
     *different* data would corrupt it silently, so mismatch means start
     over.  ``volume`` is an in-memory :class:`~repro.grid.volume.Volume`
     or the :class:`~repro.core.builder.LayoutPlan` of any slab source,
-    whose pass 1 ran the same CRC slab by slab.
+    whose :attr:`~repro.core.builder.LayoutPlan.volume_crc` is the same CRC.
     """
     if isinstance(volume, LayoutPlan):
         crc, volume = volume.volume_crc, volume.source
@@ -444,27 +438,16 @@ def _write_store(directory: Path, plan: LayoutPlan, tree, journal, verified: int
     elif raw.size > n * rec:  # pragma: no cover - over-long stale partial
         raw.truncate(n * rec)
     device = wrap_device(raw) if wrap_device is not None else raw
-    starts = np.arange(0, n, group)
-    ends = np.minimum(starts + group, n)
-    todo = np.maximum(ends - np.maximum(starts, verified), 0)  # records unwritten
-    g, done = int(np.searchsorted(ends, verified, side="right")), verified
-    for k, runs in enumerate(plan.slab_runs(tree, group, verified)):
-        if k:
-            crash.point(f"slab_boundary:{k}")
-        for s, blob in runs:
-            _write_verified(device, raw, s * rec, blob, verify_writes)
-            crcs[s : s + len(blob) // rec] = compute_record_crcs(blob, rec)
-            todo[s // group] -= len(blob) // rec
-            while g < len(ends) and todo[g] == 0:
-                e = int(ends[g])
-                cum[done : e + 1] = chain_crcs(crcs[done:e], rec, int(cum[done]))
-                done = e
-                crash.point(f"group_written:{g}")
-                device.fsync()
-                crash.point(f"group_flushed:{g}")
-                journal.group(g, e, int(cum[e]))
-                crash.point(f"group_journaled:{g}")
-                g += 1
+    for g, e in plan.write_groups(
+        tree, group, verified,
+        lambda s, blob: _write_verified(device, raw, s * rec, blob, verify_writes),
+        raw.peek, crcs, cum, crash,
+    ):
+        crash.point(f"group_written:{g}")
+        device.fsync()
+        crash.point(f"group_flushed:{g}")
+        journal.group(g, e, int(cum[e]))
+        crash.point(f"group_journaled:{g}")
     device.fsync()
     device.close()
     crash.point("store_closed")
@@ -656,8 +639,8 @@ def build_persistent_dataset(
         A :class:`repro.io.faults.CrashSchedule` for kill-point
         injection (testing); ``None`` injects nothing.
     verify_writes:
-        When True (default) every group is read back and CRC-compared
-        before its journal entry is written, so a torn write the device
+        When True (default) every write is read back and CRC-compared
+        before its group's journal entry is written, so a torn write the device
         silently absorbed is rewritten instead of being journaled as
         durable.  The read-back is unmetered (no modeled-cost change).
     wrap_device:

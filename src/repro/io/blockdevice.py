@@ -229,7 +229,8 @@ class SimulatedBlockDevice:
 
         A maintenance read: the build paths use it to checksum bytes
         they have just written (:mod:`repro.core.persistence` resume
-        re-verification, :mod:`repro.core.streaming`) without charging a
+        re-verification, the read-back of record groups a multi-slab
+        source writes out of order) without charging a
         query's meter.  Query execution never calls it — every query
         read is a metered :meth:`read`.  Only the raw devices define it.
         """

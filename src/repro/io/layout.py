@@ -301,51 +301,6 @@ def compute_crc_tables(
     return np.array(crcs, dtype=np.uint32), np.array(cum, dtype=np.uint32)
 
 
-#: ``_BYTE_BITS[v, b]``: bit ``b`` of byte value ``v``.
-_BYTE_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(bool)
-
-
-def _gf2_apply(columns: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply the linear map of GF(2)^32 with ``columns[b]`` = image of
-    bit ``b`` to every value of ``x``, one byte table per input byte."""
-    tables = np.bitwise_xor.reduce(
-        np.where(_BYTE_BITS, columns.reshape(4, 1, 8), np.uint32(0)), axis=2
-    )
-    out = tables[0][x & 0xFF]
-    for k in (1, 2, 3):
-        out ^= tables[k][(x >> np.uint32(8 * k)) & 0xFF]
-    return out
-
-
-def chain_crcs(record_crcs, record_size: int, initial: int = 0) -> np.ndarray:
-    """The cumulative table of :func:`compute_crc_tables`, from the
-    per-record CRCs alone: ``cum[0] = initial`` and ``cum[p + 1]`` is the
-    stream CRC through record ``p``.
-
-    CRC32 is affine in its start value: ``crc32(r, c) == T(c) ^
-    crc32(r)`` with ``T`` a linear map fixed by ``len(r)``.  So the table
-    is the recurrence ``cum[p + 1] = T(cum[p]) ^ record_crcs[p]``, which
-    recursive doubling (``T^2d`` is ``T^d`` applied twice) solves in
-    ``log2(n)`` vectorized steps.  Records written in any order get
-    their stream table once the prefix is complete, with no byte reread.
-    """
-    if record_size < 1:
-        raise ValueError(f"record_size must be >= 1, got {record_size}")
-    z = np.empty(len(record_crcs) + 1, dtype=np.uint32)
-    z[0] = initial & 0xFFFFFFFF
-    z[1:] = record_crcs
-    zeros = bytes(record_size)
-    columns = np.array(
-        [zlib.crc32(zeros, 1 << b) ^ zlib.crc32(zeros) for b in range(32)], dtype=np.uint32
-    )
-    d = 1
-    while d < len(z):
-        z[d:] ^= _gf2_apply(columns, z[:-d])
-        columns = _gf2_apply(columns, columns)
-        d *= 2
-    return z
-
-
 @dataclass
 class BrickChecksums:
     """Integrity metadata for one node's brick layout (format version 2).

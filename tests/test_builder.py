@@ -15,12 +15,7 @@ from repro.core.query import execute_query
 from repro.grid.datasets import sphere_field
 from repro.grid.rm_instability import rm_timestep
 from repro.io.diskfile import FileBackedDevice
-from repro.io.layout import (
-    MetacellCodec,
-    chain_crcs,
-    compute_crc_tables,
-    compute_record_crcs,
-)
+from repro.io.layout import MetacellCodec, compute_crc_tables, compute_record_crcs
 
 
 class TestSerialBuild:
@@ -193,23 +188,9 @@ class TestGroupRoutine:
         for s, e in zip(bounds, bounds[1:]):
             # One slab of the whole volume: its first metacell id is 0.
             blob = encode_group(codec, sphere_partition, 0, ids[s:e], vmins[s:e])
-            crcs[s:e] = compute_record_crcs(blob, codec.record_size)
-            cum[s : e + 1] = chain_crcs(crcs[s:e], codec.record_size, int(cum[s]))
+            crcs[s:e], cum[s : e + 1] = compute_crc_tables(blob, codec.record_size, int(cum[s]))
             assert blob == ds.device.read(
                 ds.base_offset + s * codec.record_size, (e - s) * codec.record_size
             )
         assert np.array_equal(crcs, ds.checksums.record_crcs[:40])
         assert np.array_equal(cum, ds.checksums.cum_crcs[:41])
-
-    @pytest.mark.parametrize("record_size", [1, 4, 130, 734])
-    @pytest.mark.parametrize("n", [0, 1, 2, 57, 1030])
-    def test_chain_crcs_equals_the_stream_loop(self, record_size, n):
-        """The cumulative table from record CRCs alone (records written
-        out of order) is the byte loop's, from any starting CRC."""
-        rng = np.random.default_rng(record_size * 7 + n)
-        blob = rng.integers(0, 256, record_size * n, dtype=np.uint8).tobytes()
-        crcs = compute_record_crcs(blob, record_size)
-        for initial in (0, 1, 0xDEADBEEF, 0xFFFFFFFF):
-            got = chain_crcs(crcs, record_size, initial)
-            assert got.dtype == np.uint32
-            assert np.array_equal(got, compute_cum_crcs(blob, record_size, initial))

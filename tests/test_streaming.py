@@ -5,6 +5,8 @@ layer (along axis 0) at a time; the directory it writes must be the one
 the in-memory ``Volume`` build of the same data writes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,80 @@ class TestSlabSources:
         )
         with pytest.raises(ValueError, match="slab fn returned"):
             build_persistent_dataset(src, tmp_path, (5, 5, 5))
+
+    def test_source_changed_between_passes_is_refused(self, tmp_path):
+        """Pass 2 re-streams the source; if it hands back other planes than
+        pass 1 planned, the build raises before anything is published."""
+        vol = Volume(sphere_field((17, 17, 17)).data)
+        seen = set()
+
+        def fn(x0, x1):
+            data = vol.data[x0:x1].copy()
+            if (x0, x1) in seen:  # the second pass reads other values
+                data[-1, 0, 0] += 1
+            seen.add((x0, x1))
+            return data
+
+        changing = FunctionSlabSource(fn, vol.shape, vol.dtype)
+        with pytest.raises(ValueError, match="changed between"):
+            build_persistent_dataset(changing, tmp_path / "s", (5, 5, 5))
+        assert not (tmp_path / "s" / META_FILE).exists()
+        seen.clear()
+        with pytest.raises(ValueError, match="changed between"):
+            build_indexed_dataset(changing, (5, 5, 5))
+        # A rerun from a steady source starts over and commits the right store.
+        build_persistent_dataset(slab_source(vol), tmp_path / "s", (5, 5, 5))
+        build_persistent_dataset(vol, tmp_path / "v", (5, 5, 5))
+        assert_same_artifacts(tmp_path / "s", tmp_path / "v")
+
+
+class TestBoundedMemory:
+    """A file-backed build of a multi-slab source holds one slab plus
+    per-metacell arrays, whatever the depth of the volume along axis 0."""
+
+    M, NY, NZ = 17, 129, 129
+    #: Allowed ``tracemalloc`` peak: ``C_MAX`` slabs (measured 3.3) plus
+    #: ``METACELL_BYTES`` per metacell of the whole volume (the in-memory
+    #: index of distinct float endpoints costs about 470).
+    C_MAX, METACELL_BYTES = 6.0, 512
+
+    def source(self, layers):
+        """``layers`` metacell layers of a float32 field computed slab by
+        slab — no array of the whole volume ever exists."""
+        yz = np.add.outer(
+            np.sin(0.37 * np.arange(self.NY)), np.cos(0.23 * np.arange(self.NZ))
+        ).astype(np.float32)
+
+        def fn(x0, x1):
+            return np.sin(0.11 * np.arange(x0, x1, dtype=np.float32))[:, None, None] + yz
+
+        nx = layers * (self.M - 1) + 1
+        return FunctionSlabSource(fn, (nx, self.NY, self.NZ), np.float32)
+
+    def test_peak_is_one_slab_not_the_volume(self, tmp_path):
+        mc = (self.M,) * 3
+        # Warm-up: one-off allocations (imports, table caches) stay out
+        # of the measured peaks.
+        build_persistent_dataset(self.source(2), tmp_path / "warm", mc).device.close()
+        slab = self.M * self.NY * self.NZ * 4
+        peaks = {}
+        for layers in (2, 16):  # 1x and 8x the depth, same ny x nz
+            tracemalloc.start()
+            try:
+                ds = build_persistent_dataset(self.source(layers), tmp_path / str(layers), mc)
+                peaks[layers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            ds.device.close()
+            n_mc = ds.report.n_metacells_total
+            c = (peaks[layers] - self.METACELL_BYTES * n_mc) / slab
+            assert c <= self.C_MAX, (
+                f"{layers} layers: peak {peaks[layers]} B = c x one slab ({slab} B) "
+                f"+ {self.METACELL_BYTES} B x {n_mc} metacells with c = {c:.2f} "
+                f"> {self.C_MAX}"
+            )
+        ratio = peaks[16] / peaks[2]
+        assert ratio < 1.2, f"peak grows with depth: 8x / 1x = {ratio:.3f} ({peaks})"
 
 
 class TestEquivalence:

@@ -2,7 +2,9 @@
 """Randomized crash-kill harness for the journaled builder.
 
 Repeatedly kills :func:`repro.core.persistence.build_persistent_dataset`
-— and, for the striped and time-series configs,
+— from an in-memory volume or, for the ``"slabs"`` config, from a
+:class:`~repro.core.builder.FunctionSlabSource` that hands it one
+metacell layer at a time; and, for the striped and time-series configs,
 :func:`~repro.core.persistence.build_persistent_striped` into the
 ``step_<t>/node_<q>/`` layout of a
 :class:`~repro.core.timevarying.TimeVaryingIndex` directory — at
@@ -54,6 +56,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.chaos.engine import kill_schedule  # noqa: E402
+from repro.core.builder import FunctionSlabSource  # noqa: E402
 from repro.core.journal import JOURNAL_FILE  # noqa: E402
 from repro.core.persistence import (  # noqa: E402
     BRICKS_FILE,
@@ -73,15 +76,19 @@ ARTIFACTS = (BRICKS_FILE, INDEX_FILE, META_FILE)
 #: (volume shape, metacell shape, group_records, volume seed, layout) —
 #: differently-shaped builds so kill points land across varied group
 #: counts and partial-tail sizes.  ``layout`` ``None`` is the flat serial
-#: build; ``(steps, p)`` is a series of ``steps`` time steps (volume
-#: seeds ``seed``, ``seed + 1``, ...) each striped over ``p`` nodes, its
-#: kill points those of all ``steps * p`` node builds in order.
+#: build of an in-memory ``Volume``; ``"slabs"`` the flat serial build of
+#: the same kind of volume streamed as a multi-slab source (records
+#: written out of layout order, its reference also checked against the
+#: ``Volume`` build); ``(steps, p)`` is a series of ``steps`` time steps
+#: (volume seeds ``seed``, ``seed + 1``, ...) each striped over ``p``
+#: nodes, its kill points those of all ``steps * p`` node builds in order.
 CONFIGS = (
     ((25, 25, 21), (5, 5, 5), 32, 11, None),
     ((33, 33, 29), (5, 5, 5), 48, 12, None),
     ((17, 17, 17), (4, 4, 4), 16, 13, None),
     ((17, 17, 17), (4, 4, 4), 16, 14, (1, 3)),
     ((17, 17, 17), (4, 4, 4), 32, 15, (2, 2)),
+    ((25, 21, 19), (4, 4, 4), 16, 16, "slabs"),
 )
 
 
@@ -105,13 +112,22 @@ def artifact_hashes(directory: Path) -> "dict[str, str]":
     }
 
 
+def slab_source(volume: Volume) -> FunctionSlabSource:
+    """``volume`` served one metacell layer at a time, each a fresh array."""
+    return FunctionSlabSource(
+        lambda x0, x1: volume.data[x0:x1].copy(), volume.shape, volume.dtype,
+        name=volume.name,
+    )
+
+
 def build(ref: dict, directory: Path, crash=None) -> list:
     """One build of config ``ref`` into ``directory``; its node datasets."""
     knobs = {"group_records": ref["gr"], "crash": crash}
-    if ref["layout"] is None:
-        return [build_persistent_dataset(
-            ref["volumes"][0], directory, ref["mc"], **knobs
-        )]
+    if not isinstance(ref["layout"], tuple):
+        volume = ref["volumes"][0]
+        if ref["layout"] == "slabs":
+            volume = slab_source(volume)
+        return [build_persistent_dataset(volume, directory, ref["mc"], **knobs)]
     return [
         ds
         for t, volume in enumerate(ref["volumes"])
@@ -170,7 +186,7 @@ def main(argv=None) -> int:
             ref = {
                 "volumes": [
                     make_volume(shape, vseed + t)
-                    for t in range(layout[0] if layout else 1)
+                    for t in range(layout[0] if isinstance(layout, tuple) else 1)
                 ],
                 "mc": mc,
                 "gr": gr,
@@ -181,6 +197,16 @@ def main(argv=None) -> int:
                 ds.device.close()
             ref["hashes"] = artifact_hashes(root / f"ref{ci}")
             ref["n_points"] = probe.points_seen
+            if layout == "slabs":
+                # The streamed reference must be the in-memory build.
+                volume_ref = root / f"ref{ci}_volume"
+                build_persistent_dataset(
+                    ref["volumes"][0], volume_ref, mc, group_records=gr
+                ).device.close()
+                if artifact_hashes(volume_ref) != ref["hashes"]:
+                    print(f"FAIL config {ci}: slab build differs from the "
+                          f"Volume build", file=sys.stderr)
+                    failures += 1
             refs.append(ref)
             if not args.quiet:
                 print(f"config {ci}: shape={shape} layout={layout} "
@@ -208,7 +234,7 @@ def main(argv=None) -> int:
             clean = all(verify_dataset(ds, deep=True).ok for ds in datasets)
             for ds in datasets:
                 ds.device.close()
-            if ref["layout"] is not None:
+            if isinstance(ref["layout"], tuple):
                 # The node directories are a loadable series.
                 series = TimeVaryingIndex.load(trial_dir)
                 clean = clean and len(series) == len(ref["volumes"])
