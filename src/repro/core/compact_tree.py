@@ -37,6 +37,7 @@ of the O(log_B(N/B) + T/B) bound.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,22 +105,61 @@ class BrickPrefixScan:
 
 @dataclass
 class QueryPlan:
-    """The I/O plan for one isovalue: which runs to read and how."""
+    """The I/O plan for one isovalue: which runs to read and how.
+
+    Runs are parallel arrays in read order, one element per run:
+    ``start`` (first record position), ``count`` (records of a Case-1
+    run; brick size, the scan's ``max_count``, of a Case-2 scan),
+    ``brick`` (span-space brick id, ``-1`` for a Case-1 run), ``node``
+    (tree node id) and ``scan`` (True for a Case-2 prefix scan — the
+    external index knows no brick ids and marks its scans ``-1`` too).
+    """
 
     lam: float
-    runs: list
+    start: np.ndarray
+    count: np.ndarray
+    brick: np.ndarray
+    node: np.ndarray
+    scan: np.ndarray
     nodes_visited: int = 0
     case1_nodes: int = 0
     case2_nodes: int = 0
     bricks_skipped: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("start", "count", "brick", "node"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        self.scan = np.asarray(self.scan, dtype=bool)
+
+    @classmethod
+    def from_rows(cls, lam: float, rows: "list[tuple]", **counters) -> "QueryPlan":
+        """A plan from ``(start, count, brick, node, scan)`` rows."""
+        return cls(lam, *(list(zip(*rows)) or [()] * 5), **counters)
+
+    @property
+    def n_runs(self) -> int:
+        return len(self.start)
+
+    def run(self, i: int) -> "SequentialRun | BrickPrefixScan":
+        """Run ``i`` as its record object."""
+        start, count, node = int(self.start[i]), int(self.count[i]), int(self.node[i])
+        if self.scan[i]:
+            return BrickPrefixScan(start, count, node, int(self.brick[i]))
+        return SequentialRun(start, count, node)
+
+    @property
+    def runs(self) -> list:
+        """The runs as :class:`SequentialRun` / :class:`BrickPrefixScan`
+        objects, in read order (a fresh list: the arrays are the plan)."""
+        return [self.run(i) for i in range(self.n_runs)]
+
     @property
     def n_sequential_runs(self) -> int:
-        return sum(isinstance(r, SequentialRun) for r in self.runs)
+        return self.n_runs - self.n_prefix_scans
 
     @property
     def n_prefix_scans(self) -> int:
-        return sum(isinstance(r, BrickPrefixScan) for r in self.runs)
+        return int(self.scan.sum())
 
 
 class CompactIntervalTree:
@@ -154,6 +194,7 @@ class CompactIntervalTree:
         self.brick_min_vmin: np.ndarray = np.empty(0)
         self.brick_start: np.ndarray = np.empty(0, dtype=np.int64)
         self.brick_count: np.ndarray = np.empty(0, dtype=np.int64)
+        self._walk: "tuple | None" = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -320,46 +361,62 @@ class CompactIntervalTree:
     # Query planning
     # ------------------------------------------------------------------
 
+    def _walk_table(self) -> tuple:
+        """The nodes and their index entries as flat Python lists, built
+        on the first plan (a tree is not modified once built).  Entries
+        of node ``i`` occupy ``[lo[i], lo[i + 1])``; ``neg_vmax`` is
+        ascending within a node because its bricks descend by vmax."""
+        if self._walk is None:
+            def flat(name, dtype):
+                parts = [getattr(n, name) for n in self.nodes]
+                return np.concatenate(parts or [[]]).astype(dtype)
+
+            count = flat("entry_count", np.int64)
+            self._walk = (
+                [float(n.split) for n in self.nodes],
+                [n.left for n in self.nodes],
+                [n.right for n in self.nodes],
+                [0, *np.cumsum([n.n_bricks for n in self.nodes]).tolist()],
+                (-flat("entry_vmax", np.float64)).tolist(),
+                flat("entry_min_vmin", np.float64).tolist(),
+                flat("entry_start", np.int64).tolist(),
+                count.tolist(),
+                [0, *np.cumsum(count).tolist()],
+                flat("brick_ids", np.int64).tolist(),
+            )
+        return self._walk
+
     def plan_query(self, lam: float) -> QueryPlan:
         """Compute the I/O plan for isovalue ``lam`` (Cases 1 and 2)."""
-        plan = QueryPlan(lam=float(lam), runs=[])
-        if not self.nodes:
-            return plan
-        node_id = 0
+        split, left, right, lo, neg_vmax, min_vmin, e_start, e_count, cum, \
+            e_brick = self._walk_table()
+        lam64 = float(lam)
+        rows: "list[tuple]" = []
+        visited = case1 = case2 = skipped = 0
+        node_id = 0 if self.nodes else -1
         while node_id >= 0:
-            node = self.nodes[node_id]
-            plan.nodes_visited += 1
-            if lam >= float(node.split):
+            visited += 1
+            a, b = lo[node_id], lo[node_id + 1]
+            if lam >= split[node_id]:
                 # Case 1: bricks with vmax >= lam form a prefix of the run.
-                if node.n_bricks:
-                    rev = node.entry_vmax[::-1].astype(np.float64)
-                    k = node.n_bricks - int(np.searchsorted(rev, lam, side="left"))
-                    if k > 0:
-                        count = int(node.entry_count[:k].sum())
-                        plan.runs.append(
-                            SequentialRun(start=node.run_start, count=count, node_id=node_id)
-                        )
-                        plan.case1_nodes += 1
-                node_id = node.right
+                k = bisect_right(neg_vmax, -lam64, a, b) - a
+                if k > 0:
+                    rows.append((e_start[a], cum[a + k] - cum[a], -1, node_id, False))
+                    case1 += 1
+                node_id = right[node_id]
             else:
                 # Case 2: per-brick vmin prefixes; skip bricks whose index
                 # entry already proves emptiness (no I/O for them).
-                if node.n_bricks:
-                    active = node.entry_min_vmin.astype(np.float64) <= lam
-                    plan.bricks_skipped += int((~active).sum())
-                    if active.any():
-                        plan.case2_nodes += 1
-                    for j in np.flatnonzero(active):
-                        plan.runs.append(
-                            BrickPrefixScan(
-                                start=int(node.entry_start[j]),
-                                max_count=int(node.entry_count[j]),
-                                node_id=node_id,
-                                brick_id=int(node.brick_ids[j]),
-                            )
-                        )
-                node_id = node.left
-        return plan
+                n_before = len(rows)
+                rows += [(e_start[j], e_count[j], e_brick[j], node_id, True)
+                         for j in range(a, b) if min_vmin[j] <= lam64]
+                skipped += (b - a) - (len(rows) - n_before)
+                case2 += len(rows) > n_before
+                node_id = left[node_id]
+        return QueryPlan.from_rows(
+            float(lam), rows, nodes_visited=visited, case1_nodes=case1,
+            case2_nodes=case2, bricks_skipped=skipped,
+        )
 
     # ------------------------------------------------------------------
     # In-memory evaluation (simulation / testing — no device involved)

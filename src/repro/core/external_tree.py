@@ -26,12 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compact_tree import (
-    BrickPrefixScan,
-    CompactIntervalTree,
-    QueryPlan,
-    SequentialRun,
-)
+from repro.core.compact_tree import CompactIntervalTree, QueryPlan
 from repro.io.blockdevice import IOStats
 
 #: Node record: split f8 | left_block i4 | left_slot i4 | right_block i4
@@ -175,39 +170,32 @@ class ExternalCompactIndex:
 
     def plan_query(self, lam: float) -> tuple[QueryPlan, IOStats]:
         """Walk the blocked tree on disk; return the plan and the index
-        traversal's I/O bill."""
-        plan = QueryPlan(lam=float(lam), runs=[])
+        traversal's I/O bill.  The index stores no node or brick ids, so
+        every run carries ``-1`` for both."""
         before = self.device.stats.copy()
-        if self._empty:
-            return plan, self.device.stats.copy() - before
+        rows: "list[tuple]" = []
+        visited = case1 = case2 = skipped = 0
         cache: dict[int, bytes] = {}
-        ref = self._root
+        ref = _NodeRef(-1, -1) if self._empty else self._root
         while ref.block >= 0:
             split, left, right, run_start, entries = self._read_node(cache, ref)
-            plan.nodes_visited += 1
+            visited += 1
             if lam >= split:
                 k = sum(1 for e in entries if e[0] >= lam)
                 if k > 0:
                     count = sum(int(e[3]) for e in entries[:k])
-                    plan.runs.append(
-                        SequentialRun(start=run_start, count=count, node_id=-1)
-                    )
-                    plan.case1_nodes += 1
+                    rows.append((run_start, count, -1, -1, False))
+                    case1 += 1
                 ref = right
             else:
-                hit = False
-                for e in entries:
-                    if e[1] <= lam:
-                        hit = True
-                        plan.runs.append(
-                            BrickPrefixScan(
-                                start=int(e[2]), max_count=int(e[3]),
-                                node_id=-1, brick_id=-1,
-                            )
-                        )
-                    else:
-                        plan.bricks_skipped += 1
-                if hit:
-                    plan.case2_nodes += 1
+                hits = [(int(e[2]), int(e[3]), -1, -1, True)
+                        for e in entries if e[1] <= lam]
+                rows += hits
+                skipped += len(entries) - len(hits)
+                case2 += bool(hits)
                 ref = left
+        plan = QueryPlan.from_rows(
+            float(lam), rows, nodes_visited=visited, case1_nodes=case1,
+            case2_nodes=case2, bricks_skipped=skipped,
+        )
         return plan, self.device.stats.copy() - before

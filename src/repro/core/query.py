@@ -6,9 +6,14 @@ read; this module performs the reads honestly, at block granularity:
 * **Case 1 runs** are one long sequential read, streamed in bounded
   chunks (same block count, one seek).
 * **Case 2 brick prefixes** are read incrementally: a block-aligned
-  chunk at a time, decoding complete records as they arrive and stopping
-  at the first record with ``vmin > lam`` — the reader does not know the
-  prefix length in advance, exactly like a real out-of-core consumer.
+  chunk at a time, looking at the ``vmin`` column of the complete
+  records as they arrive and stopping after the chunk holding the first
+  ``vmin > lam`` — the reader does not know the prefix length in
+  advance, exactly like a real out-of-core consumer.
+
+Every chunk's records are CRC-verified as one span and kept as bytes;
+the query decodes once, at the end, cutting each Case-2 brick at its
+first ``vmin > lam`` with one vectorised mask.
 
 All I/O is metered by the device, so the resulting
 :class:`~repro.io.blockdevice.IOStats` *is* the external-memory cost of
@@ -17,7 +22,7 @@ retrieval time".
 
 Resilience (see ``docs/robustness.md``): every read goes through the
 bounded retry-with-backoff of :mod:`repro.io.faults`, and — when the
-dataset carries CRC32 checksums — every decoded record is verified
+dataset carries CRC32 checksums — every record read is verified
 against the index before it is trusted.  A mismatch triggers a bounded
 number of extent re-reads (which repairs transient torn reads) before
 escalating to a typed :class:`~repro.io.faults.BrickCorruptionError`.
@@ -32,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.builder import IndexedDataset
-from repro.core.compact_tree import BrickPrefixScan, QueryPlan, SequentialRun
+from repro.core.compact_tree import BrickPrefixScan, QueryPlan
 from repro.core.deadline import QueryClock
 from repro.io.blockdevice import IOStats
 from repro.io.faults import (
@@ -216,23 +221,6 @@ class QueryResult:
         return self.io_stats.read_time(cost_model)
 
 
-def _stream_extent(device, start: int, length: int, chunk_blocks: int,
-                   policy: RetryPolicy = DEFAULT_RETRY_POLICY,
-                   tracer=NULL_TRACER):
-    """Yield buffers covering ``[start, start+length)`` without charging any
-    block twice: the first chunk ends on a block boundary, later chunks are
-    block-aligned.  Transient read errors are retried per ``policy``."""
-    bs = device.cost_model.block_size
-    end = start + length
-    pos = start
-    while pos < end:
-        # End of the current chunk: a block boundary at most chunk_blocks away.
-        boundary = ((pos // bs) + chunk_blocks) * bs
-        stop = min(boundary, end)
-        yield read_with_retry(device, pos, stop - pos, policy, tracer)
-        pos = stop
-
-
 def _verify_or_repair(
     dataset: IndexedDataset,
     start_pos: int,
@@ -289,61 +277,6 @@ def _verify_or_repair(
     )
 
 
-def _stream_records(
-    dataset: IndexedDataset,
-    start_pos: int,
-    max_records: int,
-    chunk_blocks: int,
-    policy: RetryPolicy,
-    checks: "BrickChecksums | None",
-    tracer=NULL_TRACER,
-):
-    """Yield verified :class:`MetacellRecords` batches for the records at
-    layout positions ``[start_pos, start_pos + max_records)``.
-
-    Buffer management is O(total bytes): arriving chunks extend one
-    reusable ``bytearray`` and complete records are decoded through a
-    ``memoryview`` straight off it (``np.frombuffer`` in the codec), so
-    the only copies are the decoded field arrays themselves.  The former
-    implementation re-built the carry buffer with ``pending += buf`` /
-    slicing, which is quadratic in the run length.
-
-    Consumers may stop early (Case 2); blocks already fetched stay
-    charged, exactly like the former raw byte stream.
-    """
-    codec = dataset.codec
-    rec = codec.record_size
-    pending = bytearray()
-    pos = start_pos
-    for buf in _stream_extent(
-        dataset.device, dataset.record_offset(start_pos), max_records * rec,
-        chunk_blocks, policy, tracer,
-    ):
-        pending.extend(buf)
-        n_complete = len(pending) // rec
-        if not n_complete:
-            continue
-        nbytes = n_complete * rec
-        chunk = memoryview(pending)[:nbytes]
-        try:
-            if checks is not None:
-                _verify_or_repair(dataset, pos, chunk, policy, checks, tracer)
-            batch = codec.decode(chunk)
-        finally:
-            # Release the export before the bytearray is resized below
-            # (a live view would make `del pending[:nbytes]` raise
-            # BufferError).  The decoded batch owns copies.
-            chunk.release()
-        yield batch
-        del pending[:nbytes]
-        pos += n_complete
-    if pending:
-        raise IOError(
-            f"record run at position {start_pos} ended mid-record "
-            f"({len(pending)} trailing bytes): layout corrupted"
-        )
-
-
 def execute_query(
     dataset: IndexedDataset,
     lam: float,
@@ -364,7 +297,7 @@ def execute_query(
     ) as sp:
         plan = dataset.tree.plan_query(lam)
         sp.merge_args(
-            runs=len(plan.runs),
+            runs=plan.n_runs,
             bricks_skipped=plan.bricks_skipped,
         )
     return execute_plan(dataset, plan, opts)
@@ -396,227 +329,272 @@ def execute_plan(
     opts = _checked(
         options, DEFAULT_QUERY_OPTIONS, "execute_plan() third argument"
     )
-    policy = opts.retry_policy or DEFAULT_RETRY_POLICY
-    tracer = opts.tracer or NULL_TRACER
-    read_ahead_blocks = opts.read_ahead_blocks
-    verify_checksums = opts.verify_checksums
     # getattr: duck-typed datasets (e.g. the unstructured pipeline) may
     # predate checksum tables entirely.
     checksums = getattr(dataset, "checksums", None)
-    if verify_checksums and checksums is None:
+    if opts.verify_checksums and checksums is None:
         raise ValueError(
             "verify_checksums=True but the dataset has no checksum tables "
             "(built with checksum=False or loaded from a format-1 store)"
         )
-    checks = checksums if verify_checksums in (None, True) else None
-    codec = dataset.codec
+    checks = checksums if opts.verify_checksums in (None, True) else None
     device = dataset.device
-    lam = plan.lam
-
     stats_before = device.stats.copy()
-    clock = QueryClock(device, opts.time_budget)
-    runner = _PlanRunner(
-        dataset, float(lam), read_ahead_blocks, policy, checks, clock, tracer,
-        opts.track, rcache=opts.result_cache,
-    )
-    qspan = tracer.span(
+    reader = _PlanReader(dataset, plan, opts, checks)
+    with reader.tracer.span(
         "query.execute", track=opts.track, category="query",
-        args={"lam": float(lam), "runs": len(plan.runs)},
-    )
-    runner.qspan = qspan
-    try:
-        for run in plan.runs:
-            if clock.expired():
-                runner.skip(run)
-            else:
-                runner.run(run)
-    finally:
-        qspan.close()
-
-    io_stats = device.stats.copy() - stats_before
-
-    records = (
-        MetacellRecords.concat(runner.batches)
-        if runner.batches
-        else MetacellRecords.empty(codec)
-    )
+        args={"lam": float(plan.lam), "runs": plan.n_runs},
+    ) as reader.qspan:
+        reader.read()
     result = QueryResult(
-        lam=float(lam),
-        records=records,
+        lam=float(plan.lam),
+        records=reader.records(),
         plan=plan,
-        io_stats=io_stats,
-        n_records_read=runner.n_read,
-        deadline_expired=bool(runner.skipped_runs),
-        skipped_runs=runner.skipped_runs,
-        n_records_skipped=runner.n_skipped,
+        io_stats=device.stats.copy() - stats_before,
+        n_records_read=reader.n_read,
+        deadline_expired=bool(reader.skipped),
+        skipped_runs=[plan.run(i) for i in reader.skipped],
+        n_records_skipped=reader.n_skipped,
     )
     if opts.metrics is not None:
         _publish_query_metrics(opts.metrics, result, device)
     return result
 
 
-class _PlanRunner:
-    """Mutable execution state for one :func:`execute_plan` call.
+class _PlanReader:
+    """State of one :func:`execute_plan` call and its one read loop.
 
-    Owns the decoded batches and skip accounting, and implements the one
-    read strategy over them: :meth:`run` reads a plan run incrementally,
-    one metered device read per chunk, so every device stack (faults,
-    hedging, block cache), the result-cache prefix path, CRC repairs and
-    deadline cuts see the same sequence of reads.
+    :meth:`read` walks the plan arrays in order.  Each run is read chunk
+    by chunk with one metered device read per chunk, so every device
+    stack (faults, hedging, block cache), the result-cache prefix path,
+    CRC repairs and deadline cuts see the same sequence of reads.  A
+    chunk's complete records are verified with one span CRC and kept as
+    bytes in :attr:`parts`; nothing is decoded until :meth:`records`
+    decodes them all at once and applies every Case-2 cut as one mask.
     """
 
-    def __init__(self, dataset, lam, read_ahead_blocks, policy, checks, clock,
-                 tracer, track, rcache=None) -> None:
-        self.dataset = dataset
-        self.lam = lam
-        self.read_ahead_blocks = read_ahead_blocks
-        self.policy = policy
-        self.checks = checks
-        self.clock = clock
-        self.tracer = tracer
-        self.track = track
+    def __init__(self, dataset, plan: QueryPlan, opts: QueryOptions,
+                 checks: "BrickChecksums | None") -> None:
+        self.dataset, self.plan, self.checks = dataset, plan, checks
+        self.device, self.codec = dataset.device, dataset.codec
+        self.rec = dataset.codec.record_size
+        self.base = dataset.record_offset(0)  # record positions are linear
+        self.vmin_at = dataset.codec.vmin_at
+        self.block_size = dataset.device.cost_model.block_size
+        self.lam = float(plan.lam)
+        self.read_ahead_blocks = opts.read_ahead_blocks
+        self.policy = opts.retry_policy or DEFAULT_RETRY_POLICY
+        self.tracer = opts.tracer or NULL_TRACER
+        self.track = opts.track
         #: Epoch-fenced ResultCacheView (duck-typed) or None.  Decoded
         #: record prefixes are only *stored* when checksum verification
         #: ran (``checks``), so cache contents are always verified bytes.
-        self.rcache = rcache
+        self.rcache = opts.result_cache
+        self.clock = QueryClock(self.device, opts.time_budget)
         self.qspan = None
-        self.batches: "list[MetacellRecords]" = []
+        #: Verified record bytes in retrieval order, and the segments
+        #: they form: one per run read (``seg_cut`` True for a Case-2
+        #: scan, cut at its first vmin > lam) or cached prefix served.
+        self.parts: list = []
+        self.seg_len: "list[int]" = []
+        self.seg_cut: "list[bool]" = []
         self.n_read = 0
-        self.skipped_runs: "list" = []
+        #: Plan indices of the runs the budget skipped or cut short.
+        self.skipped: "list[int]" = []
         self.n_skipped = 0
 
-    def skip(self, run) -> None:
-        self.skipped_runs.append(run)
-        n = run.count if isinstance(run, SequentialRun) else run.max_count
-        self.n_skipped += n
-        self.qspan.annotate(
-            "query.run_skipped",
-            {"records": n, "reason": "time budget expired"},
-        )
-
-    def run(self, run) -> None:
-        if isinstance(run, SequentialRun):
-            self._sequential(run)
-        elif isinstance(run, BrickPrefixScan):
-            self._prefix_scan(run)
-        else:  # pragma: no cover - future run types
-            raise TypeError(f"unknown run type {type(run).__name__}")
-
-    def _cached_prefix(self, anchor: int) -> "MetacellRecords | None":
-        """Cached decoded records at a plan anchor (None without a cache
-        hit).  Anchors are shared between Case-1 runs and Case-2 brick
-        starts that begin at the same position, so either run kind can
-        extend — and be served by — the other's entries."""
-        if self.rcache is None:
-            return None
-        return self.rcache.record_prefix(self.dataset.node_rank, anchor)
-
-    def _store_prefix(self, anchor: int, cached, new_batches) -> None:
-        """Extend the cache entry at ``anchor`` with freshly decoded
-        batches.  Only verified streams populate (the stream raised on
-        persistent corruption before we got here; unchecksummed reads
-        are never admitted)."""
-        if self.rcache is None or self.checks is None or not new_batches:
-            return
-        parts = ([cached] if cached is not None and len(cached) else []) + new_batches
-        self.rcache.store_record_prefix(
-            self.dataset.node_rank, anchor, MetacellRecords.concat(parts)
-        )
-
-    def _sequential(self, run) -> None:
-        dataset, tracer, clock = self.dataset, self.tracer, self.clock
-        cached = self._cached_prefix(run.start)
-        k = min(len(cached), run.count) if cached is not None else 0
-        got = 0
-        new_batches: "list[MetacellRecords]" = []
-        with tracer.io_span(
-            "read.sequential_run", dataset.device, track=self.track,
-            args={"start": run.start, "count": run.count, "cached": k},
-        ):
-            if k:
-                head = cached if k == len(cached) else MetacellRecords(
-                    ids=cached.ids[:k], vmins=cached.vmins[:k],
-                    values=cached.values[:k],
+    def read(self) -> None:
+        plan, expired = self.plan, self.clock.expired
+        runs = zip(plan.start.tolist(), plan.count.tolist(), plan.scan.tolist(),
+                   plan.brick.tolist())
+        for i, (start, count, scan, brick) in enumerate(runs):
+            if expired():
+                self.skipped.append(i)
+                self.n_skipped += count
+                self.qspan.annotate(
+                    "query.run_skipped",
+                    {"records": count, "reason": "time budget expired"},
                 )
-                self.batches.append(head)
-                self.n_read += k
-                got = k
-            if got < run.count and not clock.expired():
-                for batch in _stream_records(
-                    dataset, run.start + got, run.count - got,
-                    MAX_SEQUENTIAL_CHUNK_BLOCKS, self.policy, self.checks,
-                    tracer,
-                ):
-                    self.batches.append(batch)
-                    new_batches.append(batch)
-                    self.n_read += len(batch)
-                    got += len(batch)
-                    if clock.expired():
-                        break
-        self._store_prefix(run.start, cached, new_batches)
-        if got < run.count:
-            self.skipped_runs.append(run)
-            self.n_skipped += run.count - got
-            self.qspan.annotate(
-                "query.run_cut",
-                {"records_left": run.count - got,
-                 "reason": "time budget expired"},
-            )
+            else:
+                self._run(i, start, count, scan, brick)
 
-    def _prefix_scan(self, run) -> None:
-        dataset, tracer, clock = self.dataset, self.tracer, self.clock
-        cached = self._cached_prefix(run.start)
-        # Clamp to the brick: a Case-1 entry at the same anchor may span
+    def _run(self, i: int, start: int, count: int, scan: bool, brick: int) -> None:
+        """One run: Case 1 (``scan`` False) reads all ``count`` records;
+        Case 2 reads the brick's records up to the first ``vmin > lam``."""
+        cached = None
+        if self.rcache is not None:
+            # Anchors are shared between Case-1 runs and Case-2 brick
+            # starts, so either run kind can extend — and be served by —
+            # the other's entries.
+            cached = self.rcache.record_prefix(self.dataset.node_rank, start)
+        # Clamp to the run: a Case-1 entry at a brick's anchor may span
         # brick boundaries, past which vmins are no longer sorted.
-        m = min(len(cached), run.max_count) if cached is not None else 0
-        with tracer.io_span(
-            "read.brick_prefix", dataset.device, track=self.track,
-            args={"brick": run.brick_id, "max_count": run.max_count,
-                  "cached": m},
-        ):
-            if m:
+        m = min(len(cached), count) if cached is not None else 0
+        if scan:
+            name, args = "read.brick_prefix", {"brick": brick, "max_count": count}
+        else:
+            name, args = "read.sequential_run", {"start": start, "count": count}
+        args["cached"] = m
+        with self.tracer.io_span(name, self.device, track=self.track, args=args):
+            if m and scan:
                 # Records within a brick are vmin-sorted, so the active
                 # prefix ends where vmin first exceeds lam.
                 k = int(np.searchsorted(
-                    cached.vmins[:m].astype(np.float64), self.lam,
-                    side="right",
+                    cached.vmins[:m].astype(np.float64), self.lam, side="right",
                 ))
-                if k < m or m == run.max_count:
+                if k < m or m == count:
                     # Terminator (or brick end) inside the cache: the
                     # whole scan is answered without touching the device.
-                    if k:
-                        self.batches.append(MetacellRecords(
-                            ids=cached.ids[:k], vmins=cached.vmins[:k],
-                            values=cached.values[:k],
-                        ))
-                    self.n_read += k
+                    self._serve(cached, k)
                     return
-                # Everything cached is active and the brick continues:
-                # serve the cached prefix and scan on from there.
-                self.batches.append(
-                    cached if m == len(cached) else MetacellRecords(
-                        ids=cached.ids[:m], vmins=cached.vmins[:m],
-                        values=cached.values[:m],
-                    )
-                )
-                self.n_read += m
-            batch, full, decoded, aborted = _scan_brick_prefix(
-                dataset, run, self.lam, self.read_ahead_blocks,
-                self.policy, self.checks, clock, tracer, skip=m,
+            if m:  # a cached prefix served in full continues on the device
+                self._serve(cached, m)
+            mark = len(self.parts)
+            got, cut = self._read_records(
+                start + m, count - m,
+                self.read_ahead_blocks if scan else MAX_SEQUENTIAL_CHUNK_BLOCKS, scan,
             )
-        self.n_read += decoded
-        if batch is not None and len(batch):
-            self.batches.append(batch)
-        self._store_prefix(run.start, cached if m else None, full)
-        if aborted:
-            self.skipped_runs.append(run)
-            self.n_skipped += run.max_count - m - decoded
+        if self.rcache is not None:
+            self._store_prefix(start, cached, mark)
+        if cut:
+            self.skipped.append(i)
+            self.n_skipped += count - m - got
             self.qspan.annotate(
-                "query.brick_cut",
-                {"brick": run.brick_id,
-                 "records_left": run.max_count - m - decoded,
-                 "reason": "time budget expired"},
+                "query.brick_cut" if scan else "query.run_cut",
+                {**({"brick": brick} if scan else {}),
+                 "records_left": count - m - got, "reason": "time budget expired"},
             )
+
+    def _read_records(self, pos: int, n: int, chunk_blocks: int,
+                      scan: bool) -> "tuple[int, bool]":
+        """Read the records at layout positions ``[pos, pos + n)``.
+
+        The first chunk ends on a block boundary at most ``chunk_blocks``
+        away and later chunks are block-aligned, so no block is charged
+        twice; a record split by a chunk boundary is carried into the
+        next chunk.  Each chunk's complete records are verified as one
+        span and kept as bytes.  The clock is checked after every chunk
+        that completes a record.  A ``scan`` (Case 2) stops after the
+        chunk holding a ``vmin > lam``: verified records of a brick are
+        vmin-sorted (a layout invariant the CRC seals), so the chunk's
+        last record decides; unverified bytes get their whole vmin
+        column looked at, viewed in place.  Returns ``(records read,
+        cut)``, ``cut`` meaning the clock stopped the read short of ``n``.
+        """
+        rec, bs, parts = self.rec, self.block_size, self.parts
+        off = self.base + pos * rec
+        end = off + n * rec
+        carry = b""
+        got = 0
+        cut_short = False
+        while off < end:
+            stop = min((off // bs + chunk_blocks) * bs, end)
+            buf = read_with_retry(
+                self.device, off, stop - off, self.policy, self.tracer
+            )
+            off = stop
+            new = (len(carry) + len(buf)) // rec
+            if not new:
+                carry += buf
+                continue
+            cut = new * rec - len(carry)
+            first = len(parts)
+            self._keep(pos + got, carry, buf, cut)
+            carry = buf[cut:]
+            got += new
+            if scan:
+                last = parts[-1]
+                if self.vmin_at(last, len(last) - rec) > self.lam or (
+                    self.checks is None and self._any_over(parts[first:])
+                ):
+                    break
+            if self.clock.expired():
+                cut_short = got < n
+                break
+        else:
+            if carry:
+                raise IOError(
+                    f"record run at position {pos} ended mid-record "
+                    f"({len(carry)} trailing bytes): layout corrupted"
+                )
+        self.n_read += got
+        if got:
+            self.seg_len.append(got)
+            self.seg_cut.append(scan)
+        return got, cut_short
+
+    def _keep(self, pos: int, carry, buf, cut: int) -> None:
+        """Keep the records a chunk completes — ``carry`` (the head of a
+        record split by the previous read) then ``buf[:cut]``, at layout
+        positions from ``pos`` — verifying them when checks are on, and
+        re-reading a corrupt span (or raising) when they fail."""
+        rec, checks = self.rec, self.checks
+        if checks is None or checks.verify_span(pos, buf, rec, carry):
+            need = rec - len(carry) if carry else 0
+            if carry:
+                self.parts.append(carry + buf[:need])
+            if cut > need:
+                self.parts.append(memoryview(buf)[need:cut])
+            return
+        span = bytearray(carry)
+        span += memoryview(buf)[:cut]
+        _verify_or_repair(
+            self.dataset, pos, memoryview(span), self.policy, checks, self.tracer
+        )
+        self.parts.append(span)
+
+    def _any_over(self, pieces) -> bool:
+        """Whether any record of ``pieces`` has ``vmin > lam``."""
+        lam = np.float64(self.lam)
+        return any(bool((self.codec.decode_vmins(p) > lam).any()) for p in pieces)
+
+    def _serve(self, cached, k: int) -> None:
+        """Keep the first ``k`` records of a cached prefix, as record
+        bytes like every other segment, so the one decode covers them."""
+        self.n_read += k
+        if k:
+            self.parts.append(self.codec.encode(
+                cached.ids[:k], cached.vmins[:k], cached.values[:k]
+            ))
+            self.seg_len.append(k)
+            self.seg_cut.append(False)
+
+    def _store_prefix(self, anchor: int, cached, mark: int) -> None:
+        """Extend the cache entry at ``anchor`` with the records read
+        since ``parts[mark]`` (terminator and batch-mates included —
+        valid bytes a higher isovalue can use), decoded into arrays of
+        their own.  Only verified reads populate."""
+        if self.checks is None or mark == len(self.parts):
+            return
+        new = self.codec.decode(b"".join(self.parts[mark:]))
+        if cached is not None and len(cached):
+            new = MetacellRecords.concat([cached, new])
+        self.rcache.store_record_prefix(self.dataset.node_rank, anchor, new)
+
+    def records(self) -> MetacellRecords:
+        """Every kept record, decoded once: one ``np.frombuffer`` over
+        the joined bytes, the Case-2 cuts as one vectorised mask, one
+        gather.
+
+        Verified records need no segment bookkeeping: a Case-1 run's
+        records all have ``vmin <= lam`` (they contain the node's split)
+        and a brick's are vmin-sorted, so exactly the records past each
+        brick's cut have ``vmin > lam``.  Unverified bytes may break
+        both, so each segment is cut at its first ``vmin > lam``
+        explicitly, and Case-1 segments are never cut.
+        """
+        if not self.parts:
+            return MetacellRecords.empty(self.codec)
+        blob = b"".join(self.parts)
+        self.parts.clear()  # the read buffers go; the joined copy stays
+        over = self.codec.decode_vmins(blob) > np.float64(self.lam)
+        if self.checks is None:
+            lens = np.asarray(self.seg_len)
+            over &= np.repeat(self.seg_cut, lens)
+            seen = np.cumsum(over)
+            first = np.cumsum(lens) - lens
+            over = seen != np.repeat(seen[first] - over[first], lens)
+        return self.codec.decode(blob, ~over)
 
 
 def _publish_query_metrics(registry, result: QueryResult, device) -> None:
@@ -632,61 +610,3 @@ def _publish_query_metrics(registry, result: QueryResult, device) -> None:
     registry.observe(
         "query.io_seconds", result.io_stats.read_time(device.cost_model)
     )
-
-
-def _scan_brick_prefix(
-    dataset: IndexedDataset,
-    run: BrickPrefixScan,
-    lam: float,
-    read_ahead_blocks: int,
-    policy: RetryPolicy,
-    checks: "BrickChecksums | None",
-    clock: "QueryClock | None" = None,
-    tracer=NULL_TRACER,
-    skip: int = 0,
-):
-    """Incrementally read one brick until ``vmin > lam``, brick end, or
-    the time budget expires.
-
-    ``skip`` starts the scan that many records into the brick — the
-    result-cache path, which already holds a verified (all-active)
-    prefix of that length, resumes from there instead of re-reading.
-
-    Returns ``(active_records_or_None, decoded_batches, n_records_decoded,
-    aborted)``.  ``decoded_batches`` is every verified batch the stream
-    produced *including* records past the active cut (the terminator
-    record and its batch-mates) — valid bytes a result cache may keep
-    for higher isovalues.  ``aborted`` is True when the clock cut the
-    scan before the active prefix was fully determined (the decoded
-    records are still valid actives — the tail of the prefix is what
-    was lost).
-    """
-    decoded = 0
-    actives: list[MetacellRecords] = []
-    full: list[MetacellRecords] = []
-    aborted = False
-    for batch in _stream_records(
-        dataset, run.start + skip, run.max_count - skip, read_ahead_blocks,
-        policy, checks, tracer,
-    ):
-        decoded += len(batch)
-        full.append(batch)
-        over = np.flatnonzero(batch.vmins.astype(np.float64) > lam)
-        if len(over):
-            cut = int(over[0])
-            if cut:
-                actives.append(
-                    MetacellRecords(
-                        ids=batch.ids[:cut],
-                        vmins=batch.vmins[:cut],
-                        values=batch.values[:cut],
-                    )
-                )
-            break
-        actives.append(batch)
-        if skip + decoded < run.max_count and clock is not None and clock.expired():
-            aborted = True
-            break
-    if not actives:
-        return None, full, decoded, aborted
-    return MetacellRecords.concat(actives), full, decoded, aborted

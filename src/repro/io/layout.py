@@ -20,6 +20,7 @@ record count in advance.
 
 from __future__ import annotations
 
+import struct
 import zlib
 from dataclasses import dataclass
 
@@ -100,6 +101,11 @@ class MetacellCodec:
                 ("values", self.scalar_dtype.newbyteorder("<"), (self.values_per_record,)),
             ]
         )
+        # struct's standard-size code of the scalar (numpy's 'l'/'L' are
+        # the platform long; struct's are 4 bytes).
+        code = self.scalar_dtype.char
+        self._vmin_field = struct.Struct("<" + {"l": "q", "L": "Q"}.get(code, code))
+        self._vmin_offset = self._record_dtype.fields["vmin"][1]
 
     @classmethod
     def flat(
@@ -139,8 +145,9 @@ class MetacellCodec:
         out["values"] = values
         return out.tobytes()
 
-    def decode(self, buf) -> MetacellRecords:
-        """Decode all complete records contained in ``buf``.
+    def decode(self, buf, take=None) -> MetacellRecords:
+        """Decode all complete records contained in ``buf`` (or only
+        those ``take`` selects: an index array or boolean mask).
 
         ``buf`` may be any C-contiguous buffer object (``bytes``,
         ``bytearray``, ``memoryview``) — the record stream is viewed in
@@ -153,10 +160,14 @@ class MetacellCodec:
         """
         n = len(buf) // self.record_size
         arr = np.frombuffer(buf, dtype=self._record_dtype, count=n)
+        if take is None:
+            return MetacellRecords(
+                ids=arr["id"].copy(),
+                vmins=arr["vmin"].copy(),
+                values=arr["values"].copy(),
+            )
         return MetacellRecords(
-            ids=arr["id"].copy(),
-            vmins=arr["vmin"].copy(),
-            values=arr["values"].copy(),
+            ids=arr["id"][take], vmins=arr["vmin"][take], values=arr["values"][take]
         )
 
     def decode_vmins(self, buf) -> np.ndarray:
@@ -169,6 +180,11 @@ class MetacellCodec:
         """
         n = len(buf) // self.record_size
         return np.frombuffer(buf, dtype=self._record_dtype, count=n)["vmin"]
+
+    def vmin_at(self, buf, offset: int) -> float:
+        """The ``vmin`` of the record starting at byte ``offset`` of
+        ``buf``, as a Python float — one field read, no array built."""
+        return float(self._vmin_field.unpack_from(buf, offset + self._vmin_offset)[0])
 
     def decode_count(self, buf) -> int:
         """Number of complete records in ``buf``."""
@@ -367,25 +383,33 @@ class BrickChecksums:
     def n_records(self) -> int:
         return len(self.record_crcs)
 
-    def verify_span(self, start_pos: int, buf, record_size: int) -> "bool | None":
-        """Fast whole-span check of the complete records in ``buf``.
+    def verify_span(self, start_pos: int, buf, record_size: int,
+                    head=b"") -> "bool | None":
+        """Fast whole-span check of the complete records in ``head + buf``.
 
-        Returns ``True``/``False`` when the cumulative table is present
-        (one ``zlib.crc32`` over the span), ``None`` when it is not and
-        the caller must fall back to per-record comparison.
+        ``head`` is the start of a record split by a read boundary (the
+        rest of it opens ``buf``); it is hashed first, so the span needs
+        no joined copy.  Returns ``True``/``False`` when the cumulative
+        table is present (one ``zlib.crc32`` over the span), ``None``
+        when it is not and the caller must fall back to per-record
+        comparison.
         """
         if self.cum_crcs is None:
             return None
-        view = memoryview(buf)
-        n = len(view) // record_size
+        size = len(buf)
+        n = (len(head) + size) // record_size
         end_pos = start_pos + n
         if end_pos >= len(self.cum_crcs):
             raise ValueError(
                 f"checksum table holds {self.n_records} records; cannot verify "
                 f"[{start_pos}, {end_pos})"
             )
-        got = zlib.crc32(view[: n * record_size], int(self.cum_crcs[start_pos]))
-        return got == int(self.cum_crcs[end_pos])
+        crc = self.cum_crcs.item(start_pos)
+        if head:
+            crc = zlib.crc32(head, crc)
+        span = n * record_size - len(head)
+        got = zlib.crc32(buf if span == size else memoryview(buf)[:span], crc)
+        return got == self.cum_crcs.item(end_pos)
 
     def find_corrupt(self, start_pos: int, buf, record_size: int) -> np.ndarray:
         """Indices (relative to ``start_pos``) of records in ``buf`` whose

@@ -1,5 +1,7 @@
 """Tests for out-of-core query execution against block devices."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.core.builder import build_indexed_dataset
 from repro.core.intervals import IntervalSet
+from repro.core.persistence import build_persistent_dataset, load_dataset
 from repro.core.query import QueryOptions, execute_query
 from repro.grid.datasets import gyroid_field, sphere_field
 from repro.grid.rm_instability import rm_timestep
@@ -149,3 +152,42 @@ class TestSelectivitySweep:
         res = execute_query(ds, 0.0)
         store = ds.n_records * ds.codec.record_size
         assert res.io_stats.bytes_read > 0.9 * store
+
+
+class TestBoundedMemory:
+    """One query holds a small multiple of the bytes it reads, never the
+    store: the read buffers, their one joined copy and the decoded
+    records (the read side of an out-of-core query's working set)."""
+
+    #: Allowed ``tracemalloc`` peak: ``C_MAX`` x the query's bytes read
+    #: (measured 2.0: the joined read buffers plus the decoded records)
+    #: plus ``RUN_BYTES`` per planned run and ``FIXED`` bookkeeping.
+    C_MAX, RUN_BYTES, FIXED = 2.5, 1024, 1 << 14
+
+    def test_peak_is_bounded_by_the_bytes_read(self, tmp_path):
+        field = sphere_field((129, 129, 129)).data
+        vol = Volume(np.round(field / field.max() * 250).astype(np.uint8))
+        build_persistent_dataset(vol, tmp_path, (9, 9, 9)).device.close()
+        ds = load_dataset(tmp_path)
+        try:
+            ends = ds.tree.endpoints.astype(np.float64)
+            lams = np.linspace(ends[0], ends[-1], 9)
+            # Warm-up: one-off allocations (walk table, struct and dtype
+            # caches) stay out of the measured peaks.
+            execute_query(ds, float(lams[4]))
+            for lam in lams:
+                tracemalloc.start()
+                try:
+                    res = execute_query(ds, float(lam))
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                read, runs = res.io_stats.bytes_read, res.plan.n_runs
+                c = (peak - self.FIXED - self.RUN_BYTES * runs) / read
+                assert c <= self.C_MAX, (
+                    f"lam {lam:.1f}: peak {peak} B = c x {read} B read + "
+                    f"{self.RUN_BYTES} B x {runs} runs + {self.FIXED} B with "
+                    f"c = {c:.2f} > {self.C_MAX} (store {ds.device.size} B)"
+                )
+        finally:
+            ds.device.close()
