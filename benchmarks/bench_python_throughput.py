@@ -14,6 +14,10 @@ triangulation rate and as end-to-end ``extract()`` throughput.  The
 software rasterizer is timed on the exact mesh into a 256 x 256 frame,
 flat and Gouraud, under the same best-of-N protocol.
 
+The query row times a stratified isovalue sweep on a persisted,
+file-backed store and reports planned runs executed per second — the
+executor's own cost per run, on top of its reads and CRCs.
+
 Alongside the stage table it micro-benchmarks the three checksum-verify
 strategies the I/O layer grew (per-record ``zlib.crc32`` loop, the
 table-driven vectorized kernel, and one-call span verification against
@@ -26,6 +30,7 @@ perf-smoke and kernel-soak jobs.
 
 from __future__ import annotations
 
+import tempfile
 import time
 import zlib
 
@@ -34,6 +39,7 @@ import numpy as np
 from repro.bench.harness import emit, emit_bench_json, rm_bench_volume
 from repro.bench.tables import format_table
 from repro.core.builder import build_indexed_dataset
+from repro.core.persistence import build_persistent_dataset, load_dataset
 from repro.core.query import QueryOptions, execute_query
 from repro.io.layout import _vectorized_record_crcs, compute_crc_tables
 from repro.mc.marching_cubes import marching_cubes_batch
@@ -116,6 +122,31 @@ def _crc_verify_bench(record_size: int = 734, n_records: int = 4096,
     }
 
 
+def _query_sweep_bench(volume, metacell_shape, n_queries: int = 64, seed: int = 12):
+    """Planned runs executed per wall second over a stratified sweep.
+
+    The store is persisted and reopened, so every read goes through the
+    file-backed device.  One isovalue is drawn from each of
+    ``n_queries`` equal slices of the endpoint range, and the whole sweep
+    (plan + execute per isovalue) is timed best-of-3.  Small queries of
+    a few dozen runs each: the rate is what the executor's per-run work
+    costs on top of the reads and CRCs.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        build_persistent_dataset(volume, tmp, metacell_shape).device.close()
+        ds = load_dataset(tmp)
+        try:
+            ends = ds.tree.endpoints.astype(np.float64)
+            rng = np.random.default_rng(seed)
+            u = (np.arange(n_queries) + rng.random(n_queries)) / n_queries
+            lams = [float(x) for x in ends[0] + (ends[-1] - ends[0]) * u]
+            runs = sum(len(ds.tree.plan_query(lam).runs) for lam in lams)
+            _, t = _timed(lambda: [execute_query(ds, lam) for lam in lams])
+        finally:
+            ds.device.close()
+    return runs / t, runs / n_queries
+
+
 def test_python_throughput(benchmark, cfg):
     volume = rm_bench_volume(cfg)
     lam = float(cfg.isovalues[len(cfg.isovalues) // 2])
@@ -141,6 +172,7 @@ def test_python_throughput(benchmark, cfg):
     res_mc, t_full_mc = _timed(lambda: pipe.extract(lam), 10)
 
     crc = _crc_verify_bench(ds.codec.record_size)
+    runs_per_s, runs_per_query = _query_sweep_bench(volume, cfg.metacell_shape)
 
     # The rasterizer rows: one fixed mesh (the exact kernel's), one
     # auto-framed camera, one reused 256^2 frame (its 0.07 ms clear is
@@ -168,6 +200,9 @@ def test_python_throughput(benchmark, cfg):
         ["out-of-core query (simulated disk)",
          f"{qr.io_stats.bytes_read / max(t_query, 1e-9) / 1e6:.1f} MB/s retrieved",
          f"{t_query * 1e3:.1f} ms"],
+        ["query sweep (file-backed, stratified isovalues)",
+         f"{runs_per_s:,.0f} planned runs/s",
+         f"{runs_per_query:.0f} runs/query"],
         ["marching cubes (numpy, batched)",
          f"{mesh.n_triangles / max(t_tri, 1e-9) / 1e6:.2f} Mtri/s",
          f"{t_tri * 1e3:.1f} ms"],
@@ -216,6 +251,7 @@ def test_python_throughput(benchmark, cfg):
     emit_bench_json("throughput", {
         "preprocess_mb_s": volume.nbytes / t_build / 1e6,
         "query_mb_s": qr.io_stats.bytes_read / max(t_query, 1e-9) / 1e6,
+        "query_sweep_runs_per_s": runs_per_s,
         "mc_batch_mtri_s": mesh.n_triangles / max(t_tri, 1e-9) / 1e6,
         "surface_nets_mtri_s": sn_mesh.n_triangles / max(t_sn, 1e-9) / 1e6,
         "full_extract_mtri_s": full_mtri_s,

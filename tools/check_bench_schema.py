@@ -60,6 +60,7 @@ REQUIRED_METRICS = {
     "throughput": (
         "mc_batch_mtri_s", "surface_nets_mtri_s", "full_extract_mtri_s",
         "rasterize_flat_mtri_s", "rasterize_smooth_mtri_s",
+        "query_sweep_runs_per_s",
     ),
 }
 
