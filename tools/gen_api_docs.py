@@ -107,14 +107,15 @@ def main() -> int:
         "",
         "## The read path",
         "",
-        "There is one read strategy: `execute_plan` walks the plan's runs",
-        "in order, one metered device read per chunk, on every device",
-        "stack (raw, fault-injecting, hedged, cached) — so `IOStats`,",
-        "deadline cut points and fault sequences never depend on a knob.",
-        "Underneath it the bytes are handled zero-copy: chunks land in",
-        "one reusable `bytearray`, clean spans verify with one",
-        "`zlib.crc32` call against the cumulative CRC table, and records",
-        "decode through `np.frombuffer` views (see docs/PERFMODEL.md).",
+        "There is one read strategy: `execute_plan` walks the plan's",
+        "arrays (`start`, `count`, `brick`, `node`, `scan`) in one serial",
+        "loop, one metered device read per chunk, on every device stack",
+        "(raw, fault-injecting, hedged, cached) — so `IOStats`, deadline",
+        "cut points and fault sequences never depend on a knob.  Each",
+        "chunk's records verify with one `zlib.crc32` call against the",
+        "cumulative CRC table and stay bytes; the query decodes once,",
+        "with one `np.frombuffer` over the joined bytes and one mask for",
+        "every Case-2 cut (see docs/ALGORITHM.md and docs/PERFMODEL.md).",
         "Triangulation is one inline kernel call",
         "(`repro.mc.backends.triangulate_records`); process parallelism is",
         "per node (`repro.parallel.mp_backend.extract_parallel_mp`).",
