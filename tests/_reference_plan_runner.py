@@ -16,7 +16,7 @@ and errors to equal this module's, and the live plans to equal
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,7 +96,6 @@ def plan_query(tree, lam: float) -> QueryPlan:
                     )
             node_id = node.left
     return plan
-
 
 
 def _stream_extent(device, start: int, length: int, chunk_blocks: int,

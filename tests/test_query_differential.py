@@ -69,8 +69,13 @@ FAULTS = ("none", "transient", "torn", "persistent", "hedged", "cached")
 CHECKS = ("full", "no-cum")
 BUDGETS = (None, 0.0, 0.25, 0.6, float("inf"))
 
-_TMP = Path(tempfile.mkdtemp(prefix="query-differential-"))
-atexit.register(shutil.rmtree, _TMP, True)
+
+@functools.lru_cache(maxsize=None)
+def _store_dir() -> Path:
+    """A scratch directory for the file-backed stores, removed at exit."""
+    path = Path(tempfile.mkdtemp(prefix="query-differential-"))
+    atexit.register(shutil.rmtree, path, True)
+    return path
 
 
 def _field(dtype: str, metacell) -> Volume:
@@ -115,7 +120,7 @@ def _raw_device(config: int, kind: str):
     model = _dataset(config).device.cost_model
     blob = _store_bytes(config)
     if kind == "file":
-        path = _TMP / f"bricks-{config}.bin"
+        path = _store_dir() / f"bricks-{config}.bin"
         if not path.exists():
             path.write_bytes(blob)
         return FileBackedDevice(path, model, create=False)
