@@ -134,7 +134,8 @@ class QueryPlan:
     @classmethod
     def from_rows(cls, lam: float, rows: "list[tuple]", **counters) -> "QueryPlan":
         """A plan from ``(start, count, brick, node, scan)`` rows."""
-        return cls(lam, *(list(zip(*rows)) or [()] * 5), **counters)
+        columns = list(zip(*rows)) if rows else [()] * 5
+        return cls(lam, *columns, **counters)
 
     @property
     def n_runs(self) -> int:
