@@ -68,6 +68,12 @@ class MetacellRecords:
         )
 
 
+#: struct's standard-size code of a record scalar, by numpy (kind,
+#: itemsize): numpy's own type chars name platform C types.
+_STRUCT_CODES = {(kind, 1 << i): code for kind, codes in (("u", "BHIQ"), ("i", "bhiq"),
+                 ("f", "-efd")) for i, code in enumerate(codes) if code != "-"}
+
+
 class MetacellCodec:
     """Encoder/decoder for fixed-size metacell records.
 
@@ -101,10 +107,10 @@ class MetacellCodec:
                 ("values", self.scalar_dtype.newbyteorder("<"), (self.values_per_record,)),
             ]
         )
-        # struct's standard-size code of the scalar (numpy's 'l'/'L' are
-        # the platform long; struct's are 4 bytes).
-        code = self.scalar_dtype.char
-        self._vmin_field = struct.Struct("<" + {"l": "q", "L": "Q"}.get(code, code))
+        code = _STRUCT_CODES.get((self.scalar_dtype.kind, self.scalar_dtype.itemsize))
+        if code is None:
+            raise ValueError(f"scalar_dtype must be an int or float of <= 8 bytes: {scalar_dtype}")
+        self._vmin_fmt = "<" + code  # a string, so the codec pickles (struct caches it)
         self._vmin_offset = self._record_dtype.fields["vmin"][1]
 
     @classmethod
@@ -184,7 +190,7 @@ class MetacellCodec:
     def vmin_at(self, buf, offset: int) -> float:
         """The ``vmin`` of the record starting at byte ``offset`` of
         ``buf``, as a Python float — one field read, no array built."""
-        return float(self._vmin_field.unpack_from(buf, offset + self._vmin_offset)[0])
+        return float(struct.unpack_from(self._vmin_fmt, buf, offset + self._vmin_offset)[0])
 
     def decode_count(self, buf) -> int:
         """Number of complete records in ``buf``."""

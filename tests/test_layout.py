@@ -97,6 +97,31 @@ class TestRoundTrip:
         assert np.array_equal(rec.values, values)
 
 
+class TestVminField:
+    @pytest.mark.parametrize(
+        "dtype", [np.uint8, np.uint16, np.int32, np.int64, np.uint64,
+                  np.float16, np.float32, np.float64],
+    )
+    def test_vmin_at_reads_each_record_after_pickling(self, dtype):
+        # Spawned worker processes receive datasets, codec included, by
+        # pickle; the clone must read the same vmin field.
+        import pickle
+
+        codec = pickle.loads(pickle.dumps(MetacellCodec((3, 3, 3), dtype)))
+        values = (np.arange(3 * 27).reshape(3, 27) * 3 - 40).astype(dtype)
+        vmins = values.min(axis=1)
+        blob = codec.encode(np.arange(3, dtype=np.uint32), vmins, values)
+        read = [codec.vmin_at(blob, i * codec.record_size) for i in range(3)]
+        assert read == [float(v) for v in vmins]
+
+    def test_rejects_scalars_without_a_fixed_size_code(self):
+        for dtype in (np.complex64, np.bool_, np.longdouble):
+            if np.dtype(dtype).kind == "f" and np.dtype(dtype).itemsize <= 8:
+                continue  # platforms where long double is a plain double
+            with pytest.raises(ValueError, match="scalar_dtype"):
+                MetacellCodec((3, 3, 3), dtype)
+
+
 class TestMetacellRecords:
     def test_empty(self):
         codec = MetacellCodec((3, 3, 3), np.uint8)

@@ -62,6 +62,16 @@ class TestCorrectness:
         res = execute_query(ds, float(lam))
         assert np.array_equal(np.sort(res.records.ids), iv.stabbing_ids(float(lam)))
 
+    def test_in_memory_dataset_survives_pickling(self, sphere_dataset):
+        # Spawned worker processes receive in-memory datasets by pickle.
+        import pickle
+
+        clone = pickle.loads(pickle.dumps(sphere_dataset))
+        res, again = execute_query(sphere_dataset, 0.6), execute_query(clone, 0.6)
+        assert again.plan == res.plan
+        assert again.records.values.tobytes() == res.records.values.tobytes()
+        assert again.n_records_read == res.n_records_read
+
 
 class TestIOAccounting:
     def test_empty_query_reads_nothing(self, sphere_dataset):
