@@ -38,7 +38,7 @@ of the O(log_B(N/B) + T/B) bound.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class BrickPrefixScan:
     brick_id: int
 
 
-@dataclass
+@dataclass(eq=False)
 class QueryPlan:
     """The I/O plan for one isovalue: which runs to read and how.
 
@@ -130,6 +130,11 @@ class QueryPlan:
         for name in ("start", "count", "brick", "node"):
             setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
         self.scan = np.asarray(self.scan, dtype=bool)
+
+    def __eq__(self, other) -> bool:
+        """Value equality: same isovalue, run arrays and walk counters."""
+        return isinstance(other, QueryPlan) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
     @classmethod
     def from_rows(cls, lam: float, rows: "list[tuple]", **counters) -> "QueryPlan":
