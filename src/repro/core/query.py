@@ -576,12 +576,11 @@ class _PlanReader:
         the joined bytes, the Case-2 cuts as one vectorised mask, one
         gather.
 
-        Verified records need no segment bookkeeping: a Case-1 run's
-        records all have ``vmin <= lam`` (they contain the node's split)
-        and a brick's are vmin-sorted, so exactly the records past each
-        brick's cut have ``vmin > lam``.  Unverified bytes may break
-        both, so each segment is cut at its first ``vmin > lam``
-        explicitly, and Case-1 segments are never cut.
+        Each Case-2 segment is cut at its first ``vmin > lam``; Case-1
+        segments and cached prefixes are never cut.  On verified bytes
+        that is every record with ``vmin > lam`` (Case-1 records contain
+        the split, a brick's are vmin-sorted), so only unverified bytes
+        pay for the per-segment cut, which adds ~20 % to this call.
         """
         if not self.parts:
             return MetacellRecords.empty(self.codec)

@@ -85,7 +85,7 @@ DELETED_FORK_NAMES = (
 )
 
 #: module -> line ceiling, ratcheted down when a module shrinks.
-MODULE_LINE_CEILINGS = {"core/query.py": 692}
+MODULE_LINE_CEILINGS = {"core/query.py": 611}
 
 #: module -> qualified names that must not grow a ``**`` parameter.
 ONE_CALL_FORM = {

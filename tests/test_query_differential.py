@@ -142,6 +142,12 @@ def _stack(config: int, kind: str, fault: str, seed: int):
     if fault == "persistent":
         at = ds.record_offset((seed * 7919) % ds.n_records) + rec // 2
         return FaultInjectingDevice(raw, FaultPlan(seed=seed, corrupt_extents=((at, 3),)))
+    if fault == "vmins":
+        # Every fifth record's vmin inverted: unverified reads then see
+        # bricks out of vmin order and Case-1 records with vmin > lam.
+        size = ds.codec.scalar_dtype.itemsize
+        return FaultInjectingDevice(raw, FaultPlan(seed=seed, corrupt_extents=tuple(
+            (ds.record_offset(p) + 4, size) for p in range(seed % 5, ds.n_records, 5))))
     if fault == "torn":
         return FaultInjectingDevice(raw, FaultPlan(seed=seed, corruption_rate=0.2))
     plan = FaultPlan(seed=seed, transient_error_rate=0.15,
@@ -314,6 +320,18 @@ class TestMatchesReference:
                                       verify_checksums=verify, read_ahead_blocks=2)
                     assert live == ref
 
+    def test_damaged_vmins_read_unverified_match(self):
+        """Unverified reads of damaged vmins: a scan stops after the
+        chunk holding its first ``vmin > lam`` wherever that sits in the
+        chunk, and is cut there whatever follows; Case-1 runs keep every
+        record."""
+        for config in range(len(CONFIGS) - 1):
+            for lam in _lams(_dataset(config))[::3]:
+                for seed in range(2):
+                    ref, live = _both(config, "sim", "vmins", seed, "full", lam,
+                                      verify_checksums=False, read_ahead_blocks=8)
+                    assert live == ref, (config, lam, seed)
+
 
 class TestResultCachePath:
     @settings(max_examples=40, deadline=None)
@@ -395,6 +413,23 @@ class TestPlanEquality:
             {"brick_id": -1} if hasattr(r, "brick_id") else {})) for r in ref.runs]
         assert ext.runs == anonymous
         assert _signature(ext)[1:] == _signature(ref)[1:]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 200),
+        seed=st.integers(0, 2**16),
+        lam_num=st.integers(0, 20),
+    )
+    def test_plans_compare_by_value(self, n, seed, lam_num):
+        tree = CompactIntervalTree.build(random_intervals(
+            np.random.default_rng(seed), n, 20))
+        lam = lam_num + 0.5
+        plan = tree.plan_query(lam)
+        assert plan == tree.plan_query(lam)
+        assert plan != dataclasses.replace(plan, lam=lam + 1.0)
+        assert plan != dataclasses.replace(plan, nodes_visited=plan.nodes_visited + 1)
+        if plan.n_runs:
+            assert plan != dataclasses.replace(plan, count=plan.count + 1)
 
     @settings(max_examples=30, deadline=None)
     @given(config=st.integers(0, len(CONFIGS) - 1), pick=st.integers(0, 10**6))
