@@ -70,8 +70,8 @@ class MetacellRecords:
 
 #: struct's standard-size code of a record scalar, by numpy (kind,
 #: itemsize): numpy's own type chars name platform C types.
-_STRUCT_CODES = {(kind, 1 << i): code for kind, codes in (("u", "BHIQ"), ("i", "bhiq"),
-                 ("f", "-efd")) for i, code in enumerate(codes) if code != "-"}
+_STRUCT_CODES = {(kind, size): code for kind, codes in (("u", "BHIQ"), ("i", "bhiq"), ("f", "-efd"))
+                 for size, code in zip((1, 2, 4, 8), codes) if code != "-"}
 
 
 class MetacellCodec:
